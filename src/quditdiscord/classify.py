@@ -25,6 +25,7 @@ from .lie_algebra import (
     GellMannBasis,
     adjoint_rep,
     build_basis,
+    expand_pair,
     phase_normalize,
     random_special_unitary,
 )
@@ -135,16 +136,10 @@ def enumerate_sign_states() -> list[SignMatrix]:
     return [SignMatrix.from_code(code) for code in range(256)]
 
 
-@functools.lru_cache(maxsize=None)
-def _gg_diag_stack(d: int) -> np.ndarray:
-    """Stack g_k x g_k, shape (n, d^2, d^2)."""
-    g = build_basis(d).generators
-    return np.einsum("kab,kcd->kacbd", g, g).reshape(d * d - 1, d * d, d * d)
-
-
 def _correlation_operator(basis: GellMannBasis, signs: np.ndarray) -> np.ndarray:
     """C_I = sum_k s_k g_k x g_k (9x9 Hermitian for d = 3)."""
-    return np.einsum("k,kab->ab", np.asarray(signs, dtype=float), _gg_diag_stack(basis.d))
+    zero = np.zeros(basis.n)
+    return expand_pair(basis, 0.0, zero, zero, np.diag(np.asarray(signs, dtype=float)))
 
 
 def affine_spectrum(basis: GellMannBasis, I) -> np.ndarray:

@@ -83,7 +83,19 @@ def cmd_basis(args) -> int:
     return 0
 
 
-def _discord_record(basis, state, args) -> tuple[dict, int]:
+def _numeric_config(args):
+    """Minimizer settings from the common flags, or None without --numeric.
+
+    Raises ValueError for settings the minimizer cannot run with.
+    """
+    if not args.numeric:
+        return None
+    return discord_mod.OptimizerConfig(
+        starts=args.starts, seed=args.seed, tol=args.tol, max_iter=args.max_iter
+    )
+
+
+def _discord_record(basis, state, config) -> tuple[dict, int]:
     exit_code = 0
     record: dict = {"d": basis.d, "lmm": state.is_lmm}
     kind, t = discord_mod.classify_correlation(basis, state.K)
@@ -93,22 +105,14 @@ def _discord_record(basis, state, args) -> tuple[dict, int]:
     if state.is_lmm:
         record["d2_lower"] = d2_bound
         record["d1_lower"] = d1_bound
-    if kind in ("automorphism", "anti_automorphism", "orthogonal", "zero"):
-        record["d2_exact"] = discord_mod.d2_exact_orthogonal(basis.d, t)
+    d2_exact, d1_exact = discord_mod.closed_form_values(basis.d, kind, t)
+    if d2_exact is not None:
+        record["d2_exact"] = d2_exact
         record["d2_method"] = "analytic"
-    if kind == "automorphism":
-        record["d1_exact"] = discord_mod.d1_exact_automorphism(basis.d, t)
+    if d1_exact is not None:
+        record["d1_exact"] = d1_exact
         record["d1_method"] = "analytic"
-    elif kind == "anti_automorphism":
-        record["d1_exact"] = discord_mod.d1_exact_anti_automorphism(basis.d, t)
-        record["d1_method"] = "analytic"
-    elif kind == "zero":
-        record["d1_exact"] = 0.0
-        record["d1_method"] = "analytic"
-    if args.numeric:
-        config = discord_mod.OptimizerConfig(
-            starts=args.starts, seed=args.seed, tol=args.tol, max_iter=args.max_iter
-        )
+    if config is not None:
         est1 = discord_mod.minimize_d1(state, config)
         est2 = discord_mod.minimize_d2(state, config)
         record["d1_numeric"] = est1.value
@@ -119,7 +123,7 @@ def _discord_record(basis, state, args) -> tuple[dict, int]:
             "best_residual_d1": est1.best_residual,
             "best_residual_d2": est2.best_residual,
         }
-        if est1.best_residual > args.tol or est2.best_residual > args.tol:
+        if est1.best_residual > config.tol or est2.best_residual > config.tol:
             record["converged"] = False
             exit_code = 4
         else:
@@ -128,6 +132,11 @@ def _discord_record(basis, state, args) -> tuple[dict, int]:
 
 
 def cmd_discord(args) -> int:
+    try:
+        config = _numeric_config(args)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     try:
         state = states_mod.read_state(args.state)
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
@@ -144,7 +153,7 @@ def cmd_discord(args) -> int:
         )
         return 3
     basis = lie.build_basis(state.d)
-    record, exit_code = _discord_record(basis, state, args)
+    record, exit_code = _discord_record(basis, state, config)
     if args.format == "csv":
         keys = sorted(record)
         flat = {
@@ -191,10 +200,8 @@ def _scan_states(args, basis):
 def cmd_scan(args) -> int:
     basis = lie.build_basis(args.d)
     rows = []
-    config = discord_mod.OptimizerConfig(
-        starts=args.starts, seed=args.seed, tol=args.tol, max_iter=args.max_iter
-    )
     try:
+        config = _numeric_config(args)
         pairs = list(_scan_states(args, basis))
     except states_mod.UnphysicalStateError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -205,20 +212,10 @@ def cmd_scan(args) -> int:
     for t, state in pairs:
         kind, t_detected = discord_mod.classify_correlation(basis, state.K)
         d2_bound, d1_bound = discord_mod.lower_bounds(basis, state.K)
-        if kind in ("automorphism", "anti_automorphism", "orthogonal", "zero"):
-            d2_value = discord_mod.d2_exact_orthogonal(basis.d, t_detected)
-        else:
-            d2_value = d2_bound
-        if kind == "automorphism":
-            d1_exact = abs(t_detected)
-        elif kind == "anti_automorphism":
-            d1_exact = 2.0 * abs(t_detected) / basis.d
-        elif kind == "zero":
-            d1_exact = 0.0
-        else:
-            d1_exact = None
+        d2_exact, d1_exact = discord_mod.closed_form_values(basis.d, kind, t_detected)
+        d2_value = d2_bound if d2_exact is None else d2_exact
         d1_numeric = None
-        if args.numeric:
+        if config is not None:
             d1_numeric = discord_mod.minimize_d1(state, config).value
         report = ent_mod.entanglement_report(state.rho, basis.d)
         rows.append((

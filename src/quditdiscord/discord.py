@@ -38,6 +38,7 @@ __all__ = [
     "d1_exact_automorphism",
     "d1_exact_anti_automorphism",
     "d2_exact_orthogonal",
+    "closed_form_values",
     "closed_form_spectra",
     "jordan_classify",
     "measurement_star_residual",
@@ -76,6 +77,12 @@ class OptimizerConfig:
     seed: int = 0
     tol: float = 1e-10
     max_iter: int = 2000
+
+    def __post_init__(self):
+        if self.starts < 1:
+            raise ValueError(f"starts must be at least 1, got {self.starts}")
+        if self.max_iter < 1:
+            raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
 
 
 def d2_frame_value(basis: GellMannBasis, K: np.ndarray, frame: MeasurementFrame) -> float:
@@ -139,6 +146,24 @@ def d2_exact_orthogonal(d: int, t: float) -> float:
     if abs(t) > d / 2.0 + 1e-12:
         raise ValueError(f"|t|={abs(t)} exceeds the correlation ball radius d/2")
     return 4.0 * t * t / (d * d)
+
+
+def closed_form_values(d: int, kind: str, t: float) -> tuple[Optional[float], Optional[float]]:
+    """Exact (D2, D1) for a (kind, t) pair from :func:`classify_correlation`.
+
+    D2 is exact for every kind but 'general', D1 for the Jordan kinds and
+    'zero'; a value is None where the class has no closed form.
+    """
+    d2 = d1 = None
+    if kind in ("automorphism", "anti_automorphism", "orthogonal", "zero"):
+        d2 = d2_exact_orthogonal(d, t)
+    if kind == "automorphism":
+        d1 = d1_exact_automorphism(d, t)
+    elif kind == "anti_automorphism":
+        d1 = d1_exact_anti_automorphism(d, t)
+    elif kind == "zero":
+        d1 = 0.0
+    return d2, d1
 
 
 def closed_form_spectra(d: int, t: float) -> dict[str, list[tuple[float, int]]]:

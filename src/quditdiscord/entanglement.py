@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from .states import TwoQuditState, ptrace_a, ptrace_b
+from .states import TwoQuditState, density_matrix, ptrace_a, ptrace_b
 
 __all__ = [
     "EntanglementReport",
@@ -39,13 +39,9 @@ class EntanglementReport:
     ppt: bool
 
 
-def _rho_of(state) -> np.ndarray:
-    return state.rho if isinstance(state, TwoQuditState) else np.asarray(state, dtype=complex)
-
-
 def partial_transpose(rho: np.ndarray, d: int) -> np.ndarray:
     """Transpose the second-factor indices; involutive and trace preserving."""
-    rho = _rho_of(rho)
+    rho = density_matrix(rho)
     if rho.shape != (d * d, d * d):
         raise ValueError(f"expected a {d*d}x{d*d} matrix, got {rho.shape}")
     return rho.reshape(d, d, d, d).transpose(0, 3, 2, 1).reshape(d * d, d * d)
@@ -53,7 +49,7 @@ def partial_transpose(rho: np.ndarray, d: int) -> np.ndarray:
 
 def realign(rho: np.ndarray, d: int) -> np.ndarray:
     """Realigned matrix: <m|<mu| R |n>|nu> = <m|<n| rho |mu>|nu>."""
-    rho = _rho_of(rho)
+    rho = density_matrix(rho)
     if rho.shape != (d * d, d * d):
         raise ValueError(f"expected a {d*d}x{d*d} matrix, got {rho.shape}")
     return rho.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
@@ -65,13 +61,13 @@ def _trace_norm(A: np.ndarray) -> float:
 
 def negativity(rho, d: int) -> float:
     """N = (||rho^PT||_1 - 1)/2, clipped at 0 for round-off."""
-    value = (_trace_norm(partial_transpose(_rho_of(rho), d)) - 1.0) / 2.0
+    value = (_trace_norm(partial_transpose(density_matrix(rho), d)) - 1.0) / 2.0
     return max(0.0, value)
 
 
 def realignment_negativity(rho, d: int) -> float:
     """N_R = max(0, (||rho^R||_1 - 1)/2); nonzero implies entanglement."""
-    value = (_trace_norm(realign(_rho_of(rho), d)) - 1.0) / 2.0
+    value = (_trace_norm(realign(density_matrix(rho), d)) - 1.0) / 2.0
     return max(0.0, value)
 
 
@@ -81,7 +77,7 @@ def reduction_criterion(rho, d: int) -> float:
     Negative means entangled and distillable; separable states give >= 0 up
     to round-off.
     """
-    rho = _rho_of(rho)
+    rho = density_matrix(rho)
     rho_a = ptrace_b(rho, d)
     rho_b = ptrace_a(rho, d)
     eye = np.eye(d)
@@ -92,13 +88,13 @@ def reduction_criterion(rho, d: int) -> float:
 
 def gurvits_barnum(rho, d: int) -> bool:
     """Purity-ball sufficient condition: tr(rho^2) <= 1/(d^2-1) forces separability."""
-    rho = _rho_of(rho)
+    rho = density_matrix(rho)
     purity = float(np.trace(rho @ rho).real)
     return purity <= 1.0 / (d * d - 1.0) + 1e-12
 
 
 def min_pt_eigenvalue(rho, d: int) -> float:
-    return float(np.linalg.eigvalsh(partial_transpose(_rho_of(rho), d))[0])
+    return float(np.linalg.eigvalsh(partial_transpose(density_matrix(rho), d))[0])
 
 
 def ppt_boundary(
@@ -138,7 +134,7 @@ def ppt_boundary(
 
 
 def entanglement_report(rho, d: int) -> EntanglementReport:
-    rho = _rho_of(rho)
+    rho = density_matrix(rho)
     return EntanglementReport(
         negativity=negativity(rho, d),
         realignment_negativity=realignment_negativity(rho, d),

@@ -4,9 +4,8 @@ Generalized Gell-Mann generators, the symmetric/antisymmetric structure
 tensors, the star and wedge products they induce on R^(d^2-1), the Jordan
 product in coefficient form, and the adjoint representation of SU(d).
 
-Everything here is dense numpy at desk scale (d <= 5 or so).  All returned
-arrays are frozen (non-writeable) so basis/tensor objects can be shared
-freely across threads.
+Everything here is dense numpy.  All returned arrays are frozen
+(non-writeable) so basis/tensor objects can be shared freely across threads.
 """
 
 from __future__ import annotations
@@ -27,6 +26,7 @@ __all__ = [
     "star",
     "wedge",
     "expand",
+    "expand_pair",
     "decompose",
     "decompose_complex",
     "jordan_product",
@@ -87,8 +87,8 @@ class StructureTensors:
     """Dense structure tensors of su(d).
 
     ``dhat[j, k, l]`` is totally symmetric, ``fhat[j, k, l]`` totally
-    antisymmetric.  ``Delta`` / ``F`` expose the same data as stacks of
-    matrices (Delta[j])_{kl} = dhat_{jkl}, (F[j])_{kl} = fhat_{jkl}.
+    antisymmetric.  Read as stacks of matrices, ``dhat[j]`` and ``fhat[j]``
+    are the paper's Delta_j and F_j.
     """
 
     d: int
@@ -102,14 +102,6 @@ class StructureTensors:
     @property
     def dprime(self) -> float:
         return math.sqrt(self.d * (self.d - 1) / 2.0) / (self.d - 2)
-
-    @property
-    def Delta(self) -> np.ndarray:
-        return self.dhat
-
-    @property
-    def F(self) -> np.ndarray:
-        return self.fhat
 
 
 @dataclass(frozen=True)
@@ -209,6 +201,40 @@ def expand(basis: GellMannBasis, a0: complex, a: np.ndarray) -> np.ndarray:
     return a0 * np.eye(basis.d, dtype=complex) + np.einsum(
         "j,jab->ab", a, basis.generators
     )
+
+
+def expand_pair(
+    basis: GellMannBasis,
+    a0: complex,
+    x: np.ndarray,
+    y: np.ndarray,
+    K: np.ndarray,
+) -> np.ndarray:
+    """Assemble a0 I x I + <x, g> x I + I x <y, g> + sum_jk K_jk g_j x g_k.
+
+    The two-qudit counterpart of :func:`expand`; the first factor is the
+    left (slow) tensor index.  With the rows of G = [vec(I); vec(g_1); ...]
+    and C = [[a0, y^T], [x, K]], the matrix G^T C G holds every term at
+    index ((a b), (c e)) and only needs its middle indices swapped, so no
+    stack of g_j x g_k products is ever built.
+    """
+    d, n = basis.d, basis.n
+    x, y, K = np.asarray(x), np.asarray(y), np.asarray(K)
+    if x.shape != (n,) or y.shape != (n,) or K.shape != (n, n):
+        raise ValueError(
+            f"need vectors of length {n} and a {n}x{n} matrix, "
+            f"got {x.shape}, {y.shape} and {K.shape}"
+        )
+    C = np.empty((n + 1, n + 1), dtype=np.result_type(a0, x, y, K))
+    C[0, 0] = a0
+    C[0, 1:] = y
+    C[1:, 0] = x
+    C[1:, 1:] = K
+    G = np.concatenate(
+        (np.eye(d, dtype=complex).reshape(1, d * d), basis.generators.reshape(n, d * d))
+    )
+    out = G.T @ C @ G
+    return out.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
 
 
 def decompose(

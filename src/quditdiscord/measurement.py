@@ -16,10 +16,11 @@ from .lie_algebra import (
     adjoint_rep,
     decompose_complex,
     expand,
+    expand_pair,
     expi,
     structure_tensors,
 )
-from .states import TwoQuditState, _kron_gg, _kron_gi, _kron_ig
+from .states import density_matrix
 
 __all__ = [
     "MeasurementFrame",
@@ -109,14 +110,10 @@ def random_frame(basis: GellMannBasis, seed) -> MeasurementFrame:
     return frame_from_theta(basis, rng.standard_normal(basis.n))
 
 
-def _rho_of(state) -> np.ndarray:
-    return state.rho if isinstance(state, TwoQuditState) else np.asarray(state, dtype=complex)
-
-
 def apply_measurement(state, frame: MeasurementFrame) -> np.ndarray:
     """(Phi x id)(rho) = sum_k (P_k x I) rho (P_k x I)."""
     d = frame.d
-    rho = _rho_of(state)
+    rho = density_matrix(state)
     if rho.shape != (d * d, d * d):
         raise ValueError(f"state must be {d*d}x{d*d}, got {rho.shape}")
     r4 = rho.reshape(d, d, d, d)
@@ -128,7 +125,7 @@ def apply_measurement(state, frame: MeasurementFrame) -> np.ndarray:
 
 def disturbance(state, frame: MeasurementFrame) -> np.ndarray:
     """S = rho - (Phi x id)(rho); traceless Hermitian."""
-    rho = _rho_of(state)
+    rho = density_matrix(state)
     return rho - apply_measurement(rho, frame)
 
 
@@ -140,15 +137,10 @@ def disturbance_from_vectors(
     S = (1/d^2) [ d'' <Mx, g> x I + sum_k <MK e_k, g> x <e_k, g> ]; for
     locally maximally mixed states only the correlation term survives.
     """
-    d = basis.d
-    MK = frame.M_real @ np.asarray(K, dtype=float)
-    S = np.einsum("jk,jkab->ab", MK, _kron_gg(d), optimize=True)
-    x = np.asarray(x, dtype=float)
-    if np.any(x):
-        S = S + basis.dprimeprime * np.einsum(
-            "j,jab->ab", frame.M_real @ x, _kron_gi(d)
-        )
-    return S / (d * d)
+    d, M = basis.d, frame.M_real
+    Mx = basis.dprimeprime * (M @ np.asarray(x, dtype=float))
+    MK = M @ np.asarray(K, dtype=float)
+    return expand_pair(basis, 0.0, Mx, np.zeros(basis.n), MK) / (d * d)
 
 
 def q_matrix(S: np.ndarray) -> np.ndarray:
@@ -185,17 +177,17 @@ def q_expansion(basis: GellMannBasis, K: np.ndarray, frame: MeasurementFrame) ->
     t = structure_tensors(basis)
     MK = frame.M_real @ K
     gram = MK.T @ MK
-    term1 = (4.0 / (d * d)) * np.trace(gram) * np.eye(d * d, dtype=complex)
     left = np.einsum("aj,lab,bj->l", MK, t.dhat, MK, optimize=True)
-    term2 = (2.0 / d) * np.einsum("l,lab->ab", left, _kron_gi(d))
     right = np.einsum("ab,pab->p", gram, t.dhat, optimize=True)
-    term3 = (2.0 / d) * np.einsum("p,pab->ab", right, _kron_ig(d))
     # the wedge part carries the opposite sign once the antisymmetric F is
     # contracted elementwise: sum_jk X_jk (F_p)_jk = -tr(X F_p)
     sym = np.einsum("aj,lab,bk,pjk->lp", MK, t.dhat, MK, t.dhat, optimize=True)
     asym = np.einsum("aj,lab,bk,pjk->lp", MK, t.fhat, MK, t.fhat, optimize=True)
-    term45 = np.einsum("lp,lpab->ab", sym - asym, _kron_gg(d), optimize=True)
-    return (term1 + term2 + term3 + term45) / (d ** 4)
+    Q = expand_pair(
+        basis, (4.0 / (d * d)) * np.trace(gram), (2.0 / d) * left, (2.0 / d) * right,
+        sym - asym,
+    )
+    return Q / (d ** 4)
 
 
 def q_orthogonal(
@@ -222,9 +214,7 @@ def q_orthogonal(
     # elementwise contraction with the antisymmetric F flips the trace sign
     Y = np.einsum("am,lab,bn,pmn->lp", MV, ten.dhat, MV, ten.dhat, optimize=True)
     Y -= np.einsum("am,lab,bn,pmn->lp", MV, ten.fhat, MV, ten.fhat, optimize=True)
-    out = (4.0 * (d - 1) / d) * np.eye(d * d, dtype=complex)
-    out += (2.0 / d) * np.einsum("k,kab->ab", X, _kron_ig(d))
-    out += np.einsum("lp,lpab->ab", Y, _kron_gg(d), optimize=True)
+    out = expand_pair(basis, 4.0 * (d - 1) / d, np.zeros(n), (2.0 / d) * X, Y)
     return (t * t / d ** 4) * out
 
 
@@ -277,14 +267,11 @@ def q_anti_automorphism(
     """
     d = basis.d
     U = np.asarray(U, dtype=complex)
-    TT = np.asarray(T, dtype=float).T
-    out = (4.0 * (d - 1) / d) * np.eye(d * d, dtype=complex)
-    ggt = np.einsum(
-        "jab,kj,kcd->acbd", basis.generators, TT,
-        basis.generators, optimize=True,
-    ).reshape(d * d, d * d)
-    out += 2.0 * (d - 2) * ggt
+    T = np.asarray(T, dtype=float)
+    zero = np.zeros(basis.n)
+    # sum_j g_j x tau(g_j) = sum_jk T_jk g_j x g_k
+    out = expand_pair(basis, 4.0 * (d - 1) / d, zero, zero, 2.0 * (d - 2) * T)
     for g in _diagonal_generators(basis):
         rotated = U @ g @ U.conj().T
-        out += 2.0 * np.kron(rotated, tau_map(basis, TT, rotated))
+        out += 2.0 * np.kron(rotated, tau_map(basis, T.T, rotated))
     return (t * t / d ** 4) * out

@@ -8,7 +8,6 @@ together with the assembled dense density matrix.  Subsystem A is the left
 
 from __future__ import annotations
 
-import functools
 import json
 from dataclasses import dataclass
 from typing import Callable, Mapping
@@ -17,8 +16,10 @@ import numpy as np
 
 from .lie_algebra import (
     GellMannBasis,
+    _freeze,
     adjoint_rep,
     build_basis,
+    expand_pair,
     phase_normalize,
 )
 
@@ -28,6 +29,7 @@ __all__ = [
     "TwoQuditState",
     "PhysicalityReport",
     "BellLabel",
+    "density_matrix",
     "assemble",
     "decompose",
     "from_density",
@@ -99,37 +101,9 @@ class TwoQuditState:
         return float(np.trace(self.rho @ self.rho).real)
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
-
-
-@functools.lru_cache(maxsize=None)
-def _kron_gg(d: int) -> np.ndarray:
-    """Stack of g_j x g_k matrices, shape (n, n, d^2, d^2)."""
-    g = build_basis(d).generators
-    out = np.einsum("jab,kcd->jkacbd", g, g).reshape(
-        d * d - 1, d * d - 1, d * d, d * d
-    )
-    return _freeze(out)
-
-
-@functools.lru_cache(maxsize=None)
-def _kron_gi(d: int) -> np.ndarray:
-    """Stack of g_j x I matrices, shape (n, d^2, d^2)."""
-    g = build_basis(d).generators
-    eye = np.eye(d)
-    out = np.einsum("jab,cd->jacbd", g, eye).reshape(d * d - 1, d * d, d * d)
-    return _freeze(out)
-
-
-@functools.lru_cache(maxsize=None)
-def _kron_ig(d: int) -> np.ndarray:
-    """Stack of I x g_k matrices, shape (n, d^2, d^2)."""
-    g = build_basis(d).generators
-    eye = np.eye(d)
-    out = np.einsum("ab,kcd->kacbd", eye, g).reshape(d * d - 1, d * d, d * d)
-    return _freeze(out)
+def density_matrix(state) -> np.ndarray:
+    """The dense matrix of a :class:`TwoQuditState`, or the argument as a complex array."""
+    return state.rho if isinstance(state, TwoQuditState) else np.asarray(state, dtype=complex)
 
 
 def assemble(
@@ -146,10 +120,7 @@ def assemble(
     K = np.asarray(K, dtype=float)
     if K.shape != (n, n):
         raise ValueError(f"correlation matrix must be {n}x{n}, got {K.shape}")
-    rho = np.eye(d * d, dtype=complex)
-    rho += basis.dprimeprime * np.einsum("j,jab->ab", x, _kron_gi(d))
-    rho += basis.dprimeprime * np.einsum("k,kab->ab", y, _kron_ig(d))
-    rho += np.einsum("jk,jkab->ab", K, _kron_gg(d), optimize=True)
+    rho = expand_pair(basis, 1.0, basis.dprimeprime * x, basis.dprimeprime * y, K)
     rho /= d * d
     return TwoQuditState(
         d=d, x=_freeze(x.copy()), y=_freeze(y.copy()), K=_freeze(K.copy()),
@@ -405,12 +376,19 @@ def t_range(
 
 # --- state documents (JSON external interface) ------------------------------
 
+def _finite_entries(doc: Mapping, key: str) -> np.ndarray:
+    values = np.asarray(doc[key], dtype=float)
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"state document entry '{key}' has non-finite values")
+    return values
+
+
 def state_from_document(doc: Mapping) -> TwoQuditState:
     """Parse the JSON state document.
 
     Exactly one of the two variants must be present:
     {"d", "x", "y", "K"} (coherence form, row-major K) or
-    {"d", "rho_re", "rho_im"} (dense form).
+    {"d", "rho_re", "rho_im"} (dense form).  Every entry must be finite.
     """
     if "d" not in doc:
         raise ValueError("state document must carry the dimension 'd'")
@@ -424,19 +402,12 @@ def state_from_document(doc: Mapping) -> TwoQuditState:
         for k in ("x", "y", "K"):
             if k not in doc:
                 raise ValueError(f"coherence-form document is missing '{k}'")
-        return assemble(
-            basis,
-            np.asarray(doc["x"], dtype=float),
-            np.asarray(doc["y"], dtype=float),
-            np.asarray(doc["K"], dtype=float),
-        )
+        return assemble(basis, *(_finite_entries(doc, k) for k in ("x", "y", "K")))
     if has_dense:
         for k in ("rho_re", "rho_im"):
             if k not in doc:
                 raise ValueError(f"dense-form document is missing '{k}'")
-        rho = np.asarray(doc["rho_re"], dtype=float) + 1j * np.asarray(
-            doc["rho_im"], dtype=float
-        )
+        rho = _finite_entries(doc, "rho_re") + 1j * _finite_entries(doc, "rho_im")
         return from_density(basis, rho, check=False)
     raise ValueError("state document must carry either (x, y, K) or (rho_re, rho_im)")
 

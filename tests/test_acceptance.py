@@ -276,14 +276,14 @@ def test_criterion_12_ppt_boundaries(class_report):
 
 def test_criterion_13_zero_negativity_classes(class_report):
     basis = la.build_basis(3)
+    g = basis.generators
     for cid in ("E4", "E5"):
         rec = class_report.classes[cid]
         for orbit in rec.orbits:
             assert orbit.realignment_max < 1e-9
             lo, hi = rec.t_range
-            C = np.einsum(
-                "k,kab->ab", orbit.representative.vector, cl._gg_diag_stack(3)
-            )
+            C = sum(s * np.kron(g[k], g[k])
+                    for k, s in enumerate(orbit.representative.vector))
             for t in np.linspace(lo, hi, 50):
                 rho = (np.eye(9) + t * C) / 9.0
                 assert ent.negativity(rho, 3) < 1e-9

@@ -81,6 +81,24 @@ class TestDiscordCommand:
         path.write_text("{\"d\": 3}")
         assert run(["discord", "--state", str(path)]) == 2
 
+    def test_zero_starts_exit_2(self, tmp_path, capsys, basis3):
+        path = self._write_state(tmp_path, st.isotropic(basis3, 0.3))
+        code = run(["discord", "--state", path, "--numeric", "--starts", "0"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "starts" in err
+        assert len(err.strip().splitlines()) == 1
+
+    def test_non_finite_document_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "nan.json"
+        x = [float("nan")] + [0.0] * 7
+        path.write_text(json.dumps(
+            {"d": 3, "x": x, "y": [0.0] * 8, "K": np.zeros((8, 8)).tolist()}))
+        assert run(["discord", "--state", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "non-finite" in err
+        assert len(err.strip().splitlines()) == 1
+
     def test_csv_format(self, tmp_path, capsys, basis3):
         path = self._write_state(tmp_path, st.isotropic(basis3, 0.5))
         assert run(["discord", "--state", path, "--format", "csv"]) == 0

@@ -161,6 +161,22 @@ class TestExpandDecompose:
         with pytest.raises(ValueError):
             la.decompose(basis3, bad)
 
+    @pytest.mark.parametrize("d", [3, 5])
+    def test_expand_pair_matches_kron_sum(self, d):
+        """All four terms land in the a0 I x I + <x,g> x I + I x <y,g> + K order."""
+        basis = la.build_basis(d)
+        g, n, eye = basis.generators, basis.n, np.eye(d)
+        rng = np.random.default_rng([11, d])
+        a0 = 0.7
+        x, y = rng.standard_normal(n), rng.standard_normal(n)
+        K = rng.standard_normal((n, n))
+        expected = a0 * np.eye(d * d, dtype=complex)
+        for j in range(n):
+            expected += x[j] * np.kron(g[j], eye) + y[j] * np.kron(eye, g[j])
+            for k in range(n):
+                expected += K[j, k] * np.kron(g[j], g[k])
+        assert_allclose(la.expand_pair(basis, a0, x, y, K), expected, atol=1e-12)
+
 
 class TestJordanProduct:
     def test_identity_element(self, basis3):

@@ -102,7 +102,7 @@ class TestDisturbance:
         frame = ms.random_frame(basis3, 31)
         assert np.max(np.abs(ms.disturbance(state, frame))) < 1e-14
 
-    @pytest.mark.parametrize("d", [3, 4])
+    @pytest.mark.parametrize("d", [3, 4, 6])
     def test_matches_coherence_form(self, d):
         """rho - measured equals the d''<Mx,g> x I + <MK e_k,g> x <e_k,g> form."""
         basis = la.build_basis(d)

@@ -53,7 +53,7 @@ class TestAssembleDecompose:
         expected = st.bell_projector(basis3, (0, 0)).rho
         assert_allclose(state.rho, expected, atol=1e-12)
 
-    @pytest.mark.parametrize("d", [3, 4])
+    @pytest.mark.parametrize("d", [3, 4, 8])
     def test_round_trip(self, d):
         basis = la.build_basis(d)
         rng = np.random.default_rng(2)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -167,10 +168,20 @@ def cmd_discord(args) -> int:
     return exit_code
 
 
+def _finite(value: float, what: str) -> float:
+    if not math.isfinite(value):
+        raise ValueError(f"{what} must be finite, got {value}")
+    return value
+
+
 def _scan_states(args, basis):
-    """Yield (t_value, state) pairs for the requested family."""
+    """Yield (t_value, state) pairs for the requested family.
+
+    Raises ValueError for a non-finite grid end or family parameter.
+    """
     family = args.family
-    grid = np.linspace(args.t_min, args.t_max, args.t_steps)
+    grid = np.linspace(_finite(args.t_min, "--t-min"), _finite(args.t_max, "--t-max"),
+                       args.t_steps)
     if family == "werner":
         for t in grid:
             yield t, states_mod.class_a_state(basis, np.eye(basis.d, dtype=complex), t)
@@ -185,12 +196,13 @@ def _scan_states(args, basis):
         if family == "pair":
             ps = grid
         else:
-            ps = [float(family[len("pair:"):])]
+            ps = [_finite(float(family[len("pair:"):]), "the pair parameter")]
         for p in ps:
             weights = {(0, 0): p, (2, 2): 1.0 - p}
             yield p, states_mod.bell_diagonal(basis, weights)
     elif family.startswith("line:"):
-        pa, pb, pg = (float(v) for v in family[len("line:"):].split(","))
+        pa, pb, pg = (_finite(float(v), "a line parameter")
+                      for v in family[len("line:"):].split(","))
         weights = {(0, 0): pa, (1, 1): pb, (2, 2): pg}
         yield pa, states_mod.bell_diagonal(basis, weights)
     else:

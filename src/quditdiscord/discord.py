@@ -16,12 +16,11 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import minimize as _scipy_minimize
 
-from .lie_algebra import GellMannBasis, build_basis, structure_tensors
+from .lie_algebra import GellMannBasis, build_basis, expand, expi, structure_tensors
 from .measurement import (
     MeasurementFrame,
-    disturbance_from_vectors,
+    disturbance_in_frame,
     frame_from_theta,
     trace_norm_hermitian,
 )
@@ -83,6 +82,8 @@ class OptimizerConfig:
             raise ValueError(f"starts must be at least 1, got {self.starts}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
+        if not (math.isfinite(self.tol) and self.tol >= 0.0):
+            raise ValueError(f"tol must be finite and non-negative, got {self.tol}")
 
 
 def d2_frame_value(basis: GellMannBasis, K: np.ndarray, frame: MeasurementFrame) -> float:
@@ -270,28 +271,36 @@ def classify_correlation(
 
 
 def _objective(basis: GellMannBasis, state: TwoQuditState, kind: str):
+    """The D1 or D2 objective of theta, evaluated in the measured basis.
+
+    Both norms are unitarily invariant, so the disturbance is never rotated
+    back and no frame is built: the returned frame is validated once, by
+    :func:`frame_from_theta`, after the search.
+    """
     d = basis.d
-    x, K = state.x, state.K
+    rho = state.rho
     pref1 = d / (2.0 * (d - 1))
     pref2 = d / (d - 1.0)
 
     def f(theta: np.ndarray) -> float:
-        frame = frame_from_theta(basis, theta)
-        S = disturbance_from_vectors(basis, x, K, frame)
+        R = disturbance_in_frame(rho, expi(expand(basis, 0.0, theta)))
         if kind == "d1":
-            return pref1 * trace_norm_hermitian(S)
-        return pref2 * float(np.trace(S @ S.conj().T).real)
+            return pref1 * trace_norm_hermitian(R)
+        return pref2 * float(np.vdot(R, R).real)
 
     return f
 
 
 def _nelder_mead(f, theta0: np.ndarray, config: OptimizerConfig):
     """One start: Nelder-Mead with restarts from the incumbent on stall."""
+    # imported here so that importing the package does not pay for scipy.optimize
+    from scipy.optimize import minimize
+
     best_x = np.asarray(theta0, dtype=float)
     best_f = f(best_x)
     spread = np.inf
     for _ in range(4):
-        res = _scipy_minimize(
+        res = minimize(
             f,
             best_x,
             method="Nelder-Mead",

@@ -4,7 +4,8 @@ A measurement frame bundles the measured rank-1 projectors P_k = U P0_k U^+,
 the adjoint rotation V = R(U), and the induced real projectors P (rank d-1)
 and M = I - P (rank d(d-1)) acting on coefficient space.  The disturbance of
 a state under the one-sided measurement is S = rho - (Phi x id)(rho), and
-Q = S S^+ drives both discord measures.
+Q = S S^+ drives both discord measures.  The minimizer evaluates S in the
+measured basis (:func:`disturbance_in_frame`), which has the same spectrum.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ __all__ = [
     "apply_measurement",
     "disturbance",
     "disturbance_from_vectors",
+    "disturbance_in_frame",
     "q_matrix",
     "q_expansion",
     "q_orthogonal",
@@ -141,6 +143,30 @@ def disturbance_from_vectors(
     Mx = basis.dprimeprime * (M @ np.asarray(x, dtype=float))
     MK = M @ np.asarray(K, dtype=float)
     return expand_pair(basis, 0.0, Mx, np.zeros(basis.n), MK) / (d * d)
+
+
+def disturbance_in_frame(state, U: np.ndarray) -> np.ndarray:
+    """The disturbance seen from the measured basis: (U^+ x I) S (U x I).
+
+    Rotating by U^+ x I takes the measured projectors to |k><k|, so this is
+    R = (U^+ x I) rho (U x I) with its diagonal A-blocks R[(k.),(k.)] set
+    to zero.  It has the spectrum of S = rho - (Phi_U x id)(rho), hence the
+    same trace and Frobenius norms, and needs no adjoint rotation; U is
+    taken as given, not checked for unitarity.
+    """
+    U = np.asarray(U, dtype=complex)
+    d = U.shape[0]
+    rho = density_matrix(state)
+    if U.shape != (d, d) or rho.shape != (d * d, d * d):
+        raise ValueError(f"need a {d*d}x{d*d} state and a square unitary, "
+                         f"got {rho.shape} and {U.shape}")
+    # rows (a b), columns (c e): U^+ acts on a as one (d, d^3) product, U on c
+    # as a product batched over (a b)
+    left = (U.conj().T @ rho.reshape(d, d ** 3)).reshape(d * d, d, d)
+    R = (U.T @ left).reshape(d, d, d, d)
+    idx = np.arange(d)
+    R[idx, :, idx, :] = 0.0
+    return R.reshape(d * d, d * d)
 
 
 def q_matrix(S: np.ndarray) -> np.ndarray:

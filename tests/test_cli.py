@@ -1,7 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
+import pytest
 
+import quditdiscord
 from quditdiscord import cli
 from quditdiscord import states as st
 
@@ -65,39 +71,10 @@ class TestDiscordCommand:
         assert abs(doc["d1_numeric"] - 0.3) < 1e-6
         assert doc["converged"] is True
 
-    def test_unphysical_state_exit_3(self, tmp_path, capsys):
-        doc = {
-            "d": 3,
-            "x": [0.0] * 8,
-            "y": [0.0] * 8,
-            "K": (2.5 * np.eye(8)).tolist(),
-        }
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps(doc))
-        assert run(["discord", "--state", str(path)]) == 3
-
     def test_invalid_document_exit_2(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{\"d\": 3}")
         assert run(["discord", "--state", str(path)]) == 2
-
-    def test_zero_starts_exit_2(self, tmp_path, capsys, basis3):
-        path = self._write_state(tmp_path, st.isotropic(basis3, 0.3))
-        code = run(["discord", "--state", path, "--numeric", "--starts", "0"])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and "starts" in err
-        assert len(err.strip().splitlines()) == 1
-
-    def test_non_finite_document_exit_2(self, tmp_path, capsys):
-        path = tmp_path / "nan.json"
-        x = [float("nan")] + [0.0] * 7
-        path.write_text(json.dumps(
-            {"d": 3, "x": x, "y": [0.0] * 8, "K": np.zeros((8, 8)).tolist()}))
-        assert run(["discord", "--state", str(path)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and "non-finite" in err
-        assert len(err.strip().splitlines()) == 1
 
     def test_csv_format(self, tmp_path, capsys, basis3):
         path = self._write_state(tmp_path, st.isotropic(basis3, 0.5))
@@ -108,17 +85,67 @@ class TestDiscordCommand:
         values = lines[1].split(",")
         assert abs(float(values[header.index("d1_exact")]) - 0.5) < 1e-10
 
-    def test_nonconvergence_flag_exit_4(self, tmp_path, capsys, basis3):
-        """An unreachable tolerance flags the run and exits with code 4."""
-        path = self._write_state(tmp_path, st.isotropic(basis3, 0.3))
-        code = run([
-            "discord", "--state", path, "--numeric",
-            "--starts", "1", "--max-iter", "3", "--tol", "0",
-        ])
-        doc = json.loads(capsys.readouterr().out)
-        assert code == 4
-        assert doc["converged"] is False
-        assert "d1_numeric" in doc  # value still reported, only flagged
+NUMERIC = ["--numeric", "--starts", "1", "--max-iter", "3"]
+ZERO_STATE = {"d": 3, "x": [0.0] * 8, "y": [0.0] * 8, "K": np.zeros((8, 8)).tolist()}
+
+# id, argv ("{state}" stands for the document's path), document (None, a
+# dict, or "isotropic" for st.isotropic(p=0.3)), exit code, and a fragment of
+# the one-line "error:" message, or None where the run still reports values
+EXIT_CODE_TABLE = [
+    ("starts-0", ["discord", "--state", "{state}", "--numeric", "--starts", "0"],
+     "isotropic", 2, "starts"),
+    ("nan-document", ["discord", "--state", "{state}"],
+     {**ZERO_STATE, "x": [float("nan")] + [0.0] * 7}, 2, "non-finite"),
+    ("unphysical-state", ["discord", "--state", "{state}"],
+     {**ZERO_STATE, "K": (2.5 * np.eye(8)).tolist()}, 3, "unphysical state"),
+    ("tol-0-nonconvergence", ["discord", "--state", "{state}", *NUMERIC, "--tol", "0"],
+     "isotropic", 4, None),
+    ("tol-nan", ["discord", "--state", "{state}", *NUMERIC, "--tol", "nan"],
+     "isotropic", 2, "tol"),
+    ("tol-inf", ["discord", "--state", "{state}", *NUMERIC, "--tol", "inf"],
+     "isotropic", 2, "tol"),
+    ("tol-negative", ["discord", "--state", "{state}", *NUMERIC, "--tol", "-1"],
+     "isotropic", 2, "tol"),
+    ("pair-nan", ["scan", "--family", "pair:nan"], None, 2, "nan"),
+    ("t-min-nan", ["scan", "--family", "werner", "--t-min", "nan"], None, 2, "--t-min"),
+]
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize(
+        "argv, document, code, message",
+        [row[1:] for row in EXIT_CODE_TABLE],
+        ids=[row[0] for row in EXIT_CODE_TABLE],
+    )
+    def test_documented_failure(self, tmp_path, capsys, basis3, argv, document, code,
+                                message):
+        path = tmp_path / "state.json"
+        if document == "isotropic":
+            st.write_state(st.isotropic(basis3, 0.3), path)
+        elif document is not None:
+            path.write_text(json.dumps(document))
+        assert run([a.replace("{state}", str(path)) for a in argv]) == code
+        out, err = capsys.readouterr()
+        if message is None:
+            assert err == ""
+            doc = json.loads(out)
+            assert doc["converged"] is False
+            assert "d1_numeric" in doc  # value still reported, only flagged
+        else:
+            assert err.startswith("error:") and message in err
+            assert len(err.strip().splitlines()) == 1
+
+    def test_import_leaves_out_scipy_optimize(self):
+        """Only the minimizer needs scipy.optimize, so importing the CLI skips it."""
+        src = str(Path(quditdiscord.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, quditdiscord.cli; print('scipy.optimize' in sys.modules)"],
+            capture_output=True, text=True, env=env, timeout=60, check=True,
+        )
+        assert proc.stdout.strip() == "False"
 
 
 class TestScanCommand:

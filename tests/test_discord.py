@@ -349,6 +349,26 @@ class TestMinimizer:
         assert_allclose(est.value, 4 * t * t / 9.0, atol=1e-10)
 
     @pytest.mark.parametrize("d", [3, 4])
+    def test_closed_class_objective_is_frame_constant(self, d):
+        """The minimizer's D1 objective reads the exact value at every theta."""
+        basis = la.build_basis(d)
+        t = 0.25
+        cases = [
+            (st.class_a_state(basis, la.random_special_unitary(d, 94), t),
+             dc.d1_exact_automorphism(d, t)),
+            (st.class_aa_state(basis, la.random_special_unitary(d, 95),
+                               la.random_special_unitary(d, 96), t),
+             dc.d1_exact_anti_automorphism(d, t)),
+        ]
+        rng = np.random.default_rng([97, d])
+        thetas = rng.standard_normal((10, basis.n))
+        for state, exact in cases:
+            f = dc._objective(basis, state, "d1")
+            values = np.array([f(theta) for theta in thetas])
+            assert np.max(values) - np.min(values) < 1e-10
+            assert_allclose(values, exact, rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("d", [3, 4])
     def test_matches_analytic_for_closed_classes(self, d):
         basis = la.build_basis(d)
         t = 0.25

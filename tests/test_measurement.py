@@ -146,6 +146,37 @@ class TestDisturbance:
             assert_allclose(ms.trace_norm_hermitian(S), 4.0 / 3.0, atol=1e-10)
 
 
+class TestDisturbanceInFrame:
+    @pytest.mark.parametrize("d", [3, 4, 5, 6])
+    def test_norms_match_oracles(self, d):
+        """The measured-basis disturbance has the norms of S from both oracles."""
+        basis = la.build_basis(d)
+        n = basis.n
+        rng = np.random.default_rng([78, d])
+        K = 0.3 * rng.standard_normal((n, n))
+        x = 0.05 * rng.standard_normal(n)
+        y = 0.05 * rng.standard_normal(n)
+        for state in (st.assemble(basis, np.zeros(n), np.zeros(n), K),
+                      st.assemble(basis, x, y, K)):
+            for k in range(3):
+                U = la.random_special_unitary(d, [79, d, k])
+                frame = ms.frame_from_unitary(basis, U)
+                R = ms.disturbance_in_frame(state, U)
+                S = ms.disturbance(state, frame)
+                for oracle in (S, ms.disturbance_from_vectors(basis, state.x, state.K, frame)):
+                    assert_allclose(ms.trace_norm_hermitian(R),
+                                    ms.trace_norm_hermitian(oracle), rtol=0, atol=1e-12)
+                    assert_allclose(np.linalg.norm(R), np.linalg.norm(oracle),
+                                    rtol=0, atol=1e-12)
+                W = np.kron(U, np.eye(d))
+                assert np.max(np.abs(R - W.conj().T @ S @ W)) < 1e-12
+
+    def test_rejects_mismatched_shapes(self, basis3):
+        state = st.isotropic(basis3, 0.3)
+        with pytest.raises(ValueError):
+            ms.disturbance_in_frame(state, np.eye(4))
+
+
 class TestQPaths:
     def test_q_matrix_basics(self, basis3):
         S = np.zeros((9, 9))

@@ -96,40 +96,33 @@ def _numeric_config(args):
     )
 
 
-def _discord_record(basis, state, config) -> tuple[dict, int]:
-    exit_code = 0
-    record: dict = {"d": basis.d, "lmm": state.is_lmm}
-    kind, t = discord_mod.classify_correlation(basis, state.K)
-    record["correlation_class"] = kind
-    record["t"] = t
-    d2_bound, d1_bound = discord_mod.lower_bounds(basis, state.K)
-    if state.is_lmm:
-        record["d2_lower"] = d2_bound
-        record["d1_lower"] = d1_bound
-    d2_exact, d1_exact = discord_mod.closed_form_values(basis.d, kind, t)
-    if d2_exact is not None:
-        record["d2_exact"] = d2_exact
+def _discord_record(state, config) -> tuple[dict, int]:
+    ev = discord_mod.evaluate(state)
+    record: dict = {"d": state.d, "lmm": state.is_lmm, "correlation_class": ev.kind,
+                    "t": ev.t}
+    if ev.d2_lower is not None:
+        record["d2_lower"] = ev.d2_lower
+        record["d1_lower"] = ev.d1_lower
+    if ev.d2_exact is not None:
+        record["d2_exact"] = ev.d2_exact
         record["d2_method"] = "analytic"
-    if d1_exact is not None:
-        record["d1_exact"] = d1_exact
+    if ev.d1_exact is not None:
+        record["d1_exact"] = ev.d1_exact
         record["d1_method"] = "analytic"
-    if config is not None:
-        est1 = discord_mod.minimize_d1(state, config)
-        est2 = discord_mod.minimize_d2(state, config)
-        record["d1_numeric"] = est1.value
-        record["d2_numeric"] = est2.value
-        record["optimizer"] = {
-            "starts": config.starts,
-            "seed": config.seed,
-            "best_residual_d1": est1.best_residual,
-            "best_residual_d2": est2.best_residual,
-        }
-        if est1.best_residual > config.tol or est2.best_residual > config.tol:
-            record["converged"] = False
-            exit_code = 4
-        else:
-            record["converged"] = True
-    return record, exit_code
+    if config is None:
+        return record, 0
+    est1 = discord_mod.minimize_d1(state, config)
+    est2 = discord_mod.minimize_d2(state, config)
+    record["d1_numeric"] = est1.value
+    record["d2_numeric"] = est2.value
+    record["optimizer"] = {
+        "starts": config.starts,
+        "seed": config.seed,
+        "best_residual_d1": est1.best_residual,
+        "best_residual_d2": est2.best_residual,
+    }
+    record["converged"] = est1.converged and est2.converged
+    return record, 0 if record["converged"] else 4
 
 
 def cmd_discord(args) -> int:
@@ -153,8 +146,7 @@ def cmd_discord(args) -> int:
             file=sys.stderr,
         )
         return 3
-    basis = lie.build_basis(state.d)
-    record, exit_code = _discord_record(basis, state, config)
+    record, exit_code = _discord_record(state, config)
     if args.format == "csv":
         keys = sorted(record)
         flat = {
@@ -177,8 +169,10 @@ def _finite(value: float, what: str) -> float:
 def _scan_states(args, basis):
     """Yield (t_value, state) pairs for the requested family.
 
-    Raises ValueError for a non-finite grid end or family parameter.
+    Raises ValueError for an empty grid or a non-finite grid end or family parameter.
     """
+    if args.t_steps < 1:
+        raise ValueError("--t-steps must be at least 1")
     family = args.family
     grid = np.linspace(_finite(args.t_min, "--t-min"), _finite(args.t_max, "--t-max"),
                        args.t_steps)
@@ -221,32 +215,34 @@ def cmd_scan(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    exit_code = 0
     for t, state in pairs:
-        kind, t_detected = discord_mod.classify_correlation(basis, state.K)
-        d2_bound, d1_bound = discord_mod.lower_bounds(basis, state.K)
-        d2_exact, d1_exact = discord_mod.closed_form_values(basis.d, kind, t_detected)
-        d2_value = d2_bound if d2_exact is None else d2_exact
+        ev = discord_mod.evaluate(state)
         d1_numeric = None
         if config is not None:
-            d1_numeric = discord_mod.minimize_d1(state, config).value
+            est = discord_mod.minimize_d1(state, config)
+            d1_numeric = est.value
+            if not est.converged:
+                exit_code = 4
         report = ent_mod.entanglement_report(state.rho, basis.d)
         rows.append((
-            t, d2_value, d1_exact, d1_bound, d1_numeric,
+            t, ev.d2_lower if ev.d2_exact is None else ev.d2_exact, ev.d1_exact,
+            ev.d1_lower, d1_numeric,
             report.negativity, report.realignment_negativity, report.ppt,
         ))
     lines = [f"# {SCAN_CSV_VERSION}", ",".join(SCAN_COLUMNS)]
     for row in rows:
         lines.append(",".join(_fmt(v) for v in row))
     _emit("\n".join(lines) + "\n", args.out)
-    return 0
+    return exit_code
 
 
 def cmd_appendix_c(args) -> int:
     basis = lie.build_basis(3)
     report = classify_mod.classification_report(basis)
     doc = classify_mod.report_to_json(report)
-    if args.check_fixtures:
-        fixtures = classify_mod.verify_adjoint_fixtures(basis)
+    fixtures = classify_mod.verify_adjoint_fixtures(basis) if args.check_fixtures else None
+    if fixtures is not None:
         doc["fixtures"] = {
             "entries": [
                 {
@@ -270,8 +266,7 @@ def cmd_appendix_c(args) -> int:
         _emit_json(doc, args.out)
     else:
         text = classify_mod.report_to_text(report)
-        if args.check_fixtures:
-            fixtures = classify_mod.verify_adjoint_fixtures(basis)
+        if fixtures is not None:
             text += "\nfixture check:\n"
             for e in fixtures.entries:
                 tag = "duplicated" if e.duplicated else ("ok" if e.matched else "MISMATCH")

@@ -28,6 +28,7 @@ from .states import TwoQuditState
 
 __all__ = [
     "DiscordEstimate",
+    "Evaluation",
     "JordanClass",
     "OptimizerConfig",
     "d2_frame_value",
@@ -37,7 +38,7 @@ __all__ = [
     "d1_exact_automorphism",
     "d1_exact_anti_automorphism",
     "d2_exact_orthogonal",
-    "closed_form_values",
+    "evaluate",
     "closed_form_spectra",
     "jordan_classify",
     "measurement_star_residual",
@@ -54,9 +55,25 @@ class DiscordEstimate:
     value: float
     method: str  # analytic | lower_bound | numerical_min
     frame: Optional[MeasurementFrame] = None
-    starts: int = 0
-    best_residual: float = 0.0
-    seed: int = 0
+    best_residual: float = 0.0  # final simplex spread of the winning start
+    converged: bool = False  # best_residual <= the optimizer's tol
+
+
+@dataclass(frozen=True)
+class Evaluation:
+    """Everything a state's correlation class fixes without the minimizer.
+
+    ``kind`` and ``t`` come from :func:`classify_correlation`.  The Xi lower
+    bounds are None unless the state is locally maximally mixed; an exact
+    value is None where the class has no closed form.
+    """
+
+    kind: str
+    t: float
+    d2_lower: Optional[float]
+    d1_lower: Optional[float]
+    d2_exact: Optional[float]
+    d1_exact: Optional[float]
 
 
 @dataclass(frozen=True)
@@ -149,24 +166,6 @@ def d2_exact_orthogonal(d: int, t: float) -> float:
     return 4.0 * t * t / (d * d)
 
 
-def closed_form_values(d: int, kind: str, t: float) -> tuple[Optional[float], Optional[float]]:
-    """Exact (D2, D1) for a (kind, t) pair from :func:`classify_correlation`.
-
-    D2 is exact for every kind but 'general', D1 for the Jordan kinds and
-    'zero'; a value is None where the class has no closed form.
-    """
-    d2 = d1 = None
-    if kind in ("automorphism", "anti_automorphism", "orthogonal", "zero"):
-        d2 = d2_exact_orthogonal(d, t)
-    if kind == "automorphism":
-        d1 = d1_exact_automorphism(d, t)
-    elif kind == "anti_automorphism":
-        d1 = d1_exact_anti_automorphism(d, t)
-    elif kind == "zero":
-        d1 = 0.0
-    return d2, d1
-
-
 def closed_form_spectra(d: int, t: float) -> dict[str, list[tuple[float, int]]]:
     """Eigenvalue/multiplicity lists of the fixed operators behind the exact values.
 
@@ -239,7 +238,7 @@ def measurement_star_residual(
     s = np.asarray(signs, dtype=float).reshape(basis.n)
     imi = s[:, None] * frame.M_real * s[None, :]
     traces = np.einsum("kl,jkl->j", imi, t.dhat, optimize=True)
-    return float(t.dprime * np.max(np.abs(traces)))
+    return float(basis.dprime * np.max(np.abs(traces)))
 
 
 def classify_correlation(
@@ -265,6 +264,31 @@ def classify_correlation(
         if jc.kind != "neither":
             return jc.kind, t
     return "orthogonal", scale
+
+
+def evaluate(state: TwoQuditState) -> Evaluation:
+    """Classify the correlation matrix once and read off its bounds and exact values.
+
+    D2 is exact for every kind but 'general', D1 for the Jordan kinds and
+    'zero'.  The minimizer is not run: see :func:`minimize_d1` and
+    :func:`minimize_d2`.
+    """
+    d = state.d
+    basis = build_basis(d)
+    kind, t = classify_correlation(basis, state.K)
+    d2_lower = d1_lower = None
+    if state.is_lmm:
+        d2_lower, d1_lower = lower_bounds(basis, state.K)
+    d2_exact = d1_exact = None
+    if kind in ("automorphism", "anti_automorphism", "orthogonal", "zero"):
+        d2_exact = d2_exact_orthogonal(d, t)
+    if kind == "automorphism":
+        d1_exact = d1_exact_automorphism(d, t)
+    elif kind == "anti_automorphism":
+        d1_exact = d1_exact_anti_automorphism(d, t)
+    elif kind == "zero":
+        d1_exact = 0.0
+    return Evaluation(kind, t, d2_lower, d1_lower, d2_exact, d1_exact)
 
 
 # --- numerical minimization over frames --------------------------------------
@@ -345,9 +369,8 @@ def _minimize(basis: GellMannBasis, state: TwoQuditState, kind: str,
         value=float(value),
         method="numerical_min",
         frame=frame,
-        starts=config.starts,
         best_residual=spread,
-        seed=config.seed,
+        converged=spread <= config.tol,
     )
 
 
@@ -356,8 +379,8 @@ def minimize_d1(state: TwoQuditState, config: OptimizerConfig | None = None) -> 
 
     The returned value is an upper bound on the discord that equals it when
     the search converges globally; deterministic for a fixed seed.
-    Non-convergence is reported through ``best_residual`` > tol, never by
-    suppressing the value.
+    Non-convergence is reported through ``converged``, never by suppressing
+    the value.
     """
     config = config or OptimizerConfig()
     return _minimize(build_basis(state.d), state, "d1", config)

@@ -99,10 +99,6 @@ class StructureTensors:
     def n(self) -> int:
         return self.d * self.d - 1
 
-    @property
-    def dprime(self) -> float:
-        return math.sqrt(self.d * (self.d - 1) / 2.0) / (self.d - 2)
-
 
 @dataclass(frozen=True)
 class StarSumResult:
@@ -183,14 +179,16 @@ def star(tensors: StructureTensors, n: np.ndarray, m: np.ndarray) -> np.ndarray:
     """Symmetric star product (n * m)_j = d' sum_kl dhat_jkl n_k m_l."""
     n = _check_vector(tensors, n)
     m = _check_vector(tensors, m)
-    return tensors.dprime * np.einsum("jkl,k,l->j", tensors.dhat, n, m, optimize=True)
+    dprime = build_basis(tensors.d).dprime
+    return dprime * np.einsum("jkl,k,l->j", tensors.dhat, n, m, optimize=True)
 
 
 def wedge(tensors: StructureTensors, n: np.ndarray, m: np.ndarray) -> np.ndarray:
     """Antisymmetric wedge product (n ^ m)_j = d' sum_kl fhat_jkl n_k m_l."""
     n = _check_vector(tensors, n)
     m = _check_vector(tensors, m)
-    return tensors.dprime * np.einsum("jkl,k,l->j", tensors.fhat, n, m, optimize=True)
+    dprime = build_basis(tensors.d).dprime
+    return dprime * np.einsum("jkl,k,l->j", tensors.fhat, n, m, optimize=True)
 
 
 def expand(basis: GellMannBasis, a0: complex, a: np.ndarray) -> np.ndarray:
@@ -339,7 +337,7 @@ def star_sum_criterion(
     if A.shape != (n, n) or B.shape != (n, n):
         raise ValueError(f"A and B must be {n}x{n}")
     traces = np.einsum("km,jkl,lm->j", A, tensors.dhat, B, optimize=True)
-    residual = tensors.dprime * traces
+    residual = build_basis(tensors.d).dprime * traces
     return StarSumResult(
         residual=residual,
         satisfied=bool(np.max(np.abs(residual)) < tol),

@@ -252,17 +252,22 @@ def bell_diagonal(
     return from_density(basis, rho, check=False)
 
 
+def _physical(state: TwoQuditState, what: str) -> TwoQuditState:
+    """Return ``state``, or raise naming the offending parameter ``what``."""
+    report = validate(state.rho)
+    if not report.physical:
+        raise UnphysicalStateError(
+            f"{what} out of the physical range (min eig {report.min_eigenvalue:.3e})"
+        )
+    return state
+
+
 def isotropic(basis: GellMannBasis, p: float) -> TwoQuditState:
     """(1-p) I/d^2 + p P_00; physical for p in [-1/(d^2-1), 1]."""
     d = basis.d
     rho = (1.0 - p) * np.eye(d * d, dtype=complex) / (d * d)
     rho += p * bell_projector(basis, (0, 0)).rho
-    report = validate(rho)
-    if not report.physical:
-        raise UnphysicalStateError(
-            f"isotropic parameter p={p} gives min eigenvalue {report.min_eigenvalue:.3e}"
-        )
-    return from_density(basis, rho, check=False)
+    return _physical(from_density(basis, rho, check=False), f"isotropic parameter p={p}")
 
 
 def transposition_signs(basis: GellMannBasis) -> np.ndarray:
@@ -279,13 +284,7 @@ def transposition_signs(basis: GellMannBasis) -> np.ndarray:
 def class_a_state(basis: GellMannBasis, U: np.ndarray, t: float) -> TwoQuditState:
     """Locally maximally mixed state with K = t R(U), U in SU(d)."""
     K = t * adjoint_rep(basis, U)
-    state = assemble(basis, np.zeros(basis.n), np.zeros(basis.n), K)
-    report = validate(state.rho)
-    if not report.physical:
-        raise UnphysicalStateError(
-            f"t={t} out of the physical range (min eig {report.min_eigenvalue:.3e})"
-        )
-    return state
+    return _physical(assemble(basis, np.zeros(basis.n), np.zeros(basis.n), K), f"t={t}")
 
 
 def class_aa_state(
@@ -294,13 +293,7 @@ def class_aa_state(
     """Locally maximally mixed state with K = t R(U1) I0 R(U2)^T."""
     I0 = np.diag(transposition_signs(basis))
     K = t * adjoint_rep(basis, U1) @ I0 @ adjoint_rep(basis, U2).T
-    state = assemble(basis, np.zeros(basis.n), np.zeros(basis.n), K)
-    report = validate(state.rho)
-    if not report.physical:
-        raise UnphysicalStateError(
-            f"t={t} out of the physical range (min eig {report.min_eigenvalue:.3e})"
-        )
-    return state
+    return _physical(assemble(basis, np.zeros(basis.n), np.zeros(basis.n), K), f"t={t}")
 
 
 def sign_class_state(basis: GellMannBasis, signs, t: float) -> TwoQuditState:
@@ -311,18 +304,7 @@ def sign_class_state(basis: GellMannBasis, signs, t: float) -> TwoQuditState:
     if not np.all(np.isin(signs, (-1.0, 1.0))):
         raise ValueError("signs must be +/-1")
     state = assemble(basis, np.zeros(basis.n), np.zeros(basis.n), t * np.diag(signs))
-    report = validate(state.rho)
-    if not report.physical:
-        raise UnphysicalStateError(
-            f"t={t} outside the positivity range (min eig {report.min_eigenvalue:.3e})"
-        )
-    return state
-
-
-def _family_rho(value) -> np.ndarray:
-    if isinstance(value, TwoQuditState):
-        return value.rho
-    return np.asarray(value, dtype=complex)
+    return _physical(state, f"t={t}")
 
 
 def t_range(
@@ -338,11 +320,11 @@ def t_range(
     arithmetic, no scanning).  Nonlinearity is detected at three sample
     points and reported as :class:`AffineFamilyError`.
     """
-    rho0 = _family_rho(family(0.0))
-    rho1 = _family_rho(family(1.0))
+    rho0 = density_matrix(family(0.0))
+    rho1 = density_matrix(family(1.0))
     B = rho1 - rho0
     for t in (0.5, -0.25, 0.75):
-        probe = _family_rho(family(t))
+        probe = density_matrix(family(t))
         if np.max(np.abs(probe - (rho0 + t * B))) > atol:
             raise AffineFamilyError(f"family is not affine in t (checked t={t})")
     size = rho0.shape[0]

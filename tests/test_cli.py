@@ -91,6 +91,7 @@ ZERO_STATE = {"d": 3, "x": [0.0] * 8, "y": [0.0] * 8, "K": np.zeros((8, 8)).toli
 # id, argv ("{state}" stands for the document's path), document (None, a
 # dict, or "isotropic" for st.isotropic(p=0.3)), exit code, and a fragment of
 # the one-line "error:" message, or None where the run still reports values
+# (a JSON record for discord, every CSV row for scan)
 EXIT_CODE_TABLE = [
     ("starts-0", ["discord", "--state", "{state}", "--numeric", "--starts", "0"],
      "isotropic", 2, "starts"),
@@ -108,6 +109,13 @@ EXIT_CODE_TABLE = [
      "isotropic", 2, "tol"),
     ("pair-nan", ["scan", "--family", "pair:nan"], None, 2, "nan"),
     ("t-min-nan", ["scan", "--family", "werner", "--t-min", "nan"], None, 2, "--t-min"),
+    ("t-steps-0", ["scan", "--family", "werner", "--t-steps", "0"], None, 2,
+     "--t-steps must be at least 1"),
+    ("t-steps-negative", ["scan", "--family", "werner", "--t-steps", "-1"], None, 2,
+     "--t-steps must be at least 1"),
+    ("scan-tol-0-nonconvergence",
+     ["scan", "--family", "werner", "--t-min", "-0.5", "--t-max", "0.2", "--t-steps", "2",
+      *NUMERIC, "--tol", "0"], None, 4, None),
 ]
 
 
@@ -128,9 +136,15 @@ class TestExitCodes:
         out, err = capsys.readouterr()
         if message is None:
             assert err == ""
-            doc = json.loads(out)
-            assert doc["converged"] is False
-            assert "d1_numeric" in doc  # value still reported, only flagged
+            if argv[0] == "scan":
+                rows = [line.split(",") for line in out.splitlines()[2:]]
+                assert len(rows) == int(argv[argv.index("--t-steps") + 1])
+                column = cli.SCAN_COLUMNS.index("d1_numeric")
+                assert all(row[column] for row in rows)  # values still written
+            else:
+                doc = json.loads(out)
+                assert doc["converged"] is False
+                assert "d1_numeric" in doc  # value still reported, only flagged
         else:
             assert err.startswith("error:") and message in err
             assert len(err.strip().splitlines()) == 1
@@ -226,6 +240,19 @@ class TestAppendixCommand:
         assert run(["appendix-c"]) == 0
         out = capsys.readouterr().out
         assert "E1: 32 members" in out
+        assert "fixture check:" not in out
+
+    def test_text_fixture_check(self, capsys):
+        assert run(["appendix-c", "--check-fixtures"]) == 0
+        out = capsys.readouterr().out
+        assert "E1: 32 members" in out
+        fixture_lines = out.split("\nfixture check:\n")[1].splitlines()
+        tags = [line.split(": ")[1].split(" (")[0] for line in fixture_lines[:-1]]
+        assert tags.count("ok") == 6
+        assert tags.count("duplicated") == 2
+        assert fixture_lines[-1].strip() == (
+            "duplication detected: True; computed replacements differ: True"
+        )
 
 
 class TestVerifyCommand:

@@ -288,6 +288,64 @@ class TestClassifyCorrelation:
         assert kind == "general"
 
 
+def _evaluate_case(basis, name):
+    """A d = 3 state whose correlation class (or non-LMM marginal) is ``name``."""
+    n = basis.n
+    if name == "zero":
+        return st.assemble(basis, np.zeros(n), np.zeros(n), np.zeros((n, n)))
+    if name == "automorphism":
+        return st.class_a_state(basis, la.random_special_unitary(3, 98), -0.3)
+    if name == "anti_automorphism":
+        return st.class_aa_state(basis, la.random_special_unitary(3, 99),
+                                 la.random_special_unitary(3, 100), 0.25)
+    if name == "orthogonal":
+        signs = np.ones(n)
+        signs[7] = -1.0
+        return st.sign_class_state(basis, signs, 0.25)
+    if name == "general":
+        return st.bell_diagonal(basis, {(0, 0): 0.55, (1, 1): 0.3, (2, 2): 0.15})
+    # non-LMM: part of the weight on |0><0| x I/3 moves subsystem A's Bloch vector
+    local = np.kron(np.diag([1.0, 0.0, 0.0]), np.eye(3) / 3.0)
+    rho = 0.7 * st.bell_projector(basis, (0, 0)).rho + 0.3 * local
+    return st.from_density(basis, rho)
+
+
+class TestEvaluate:
+    @pytest.mark.parametrize(
+        "name", ["zero", "automorphism", "anti_automorphism", "orthogonal", "general",
+                 "non_lmm"])
+    def test_matches_classify_bounds_and_exact_formulas(self, basis3, name):
+        state = _evaluate_case(basis3, name)
+        ev = dc.evaluate(state)
+        kind, t = dc.classify_correlation(basis3, state.K)
+        assert (ev.kind, ev.t) == (kind, t)
+        if name == "non_lmm":
+            assert not state.is_lmm
+            assert ev.d2_lower is None and ev.d1_lower is None
+        else:
+            assert kind == name
+            assert (ev.d2_lower, ev.d1_lower) == dc.lower_bounds(basis3, state.K)
+        d2_exact = None if kind == "general" else dc.d2_exact_orthogonal(3, t)
+        d1_formula = {
+            "zero": lambda d, t: 0.0,
+            "automorphism": dc.d1_exact_automorphism,
+            "anti_automorphism": dc.d1_exact_anti_automorphism,
+        }.get(kind)
+        d1_exact = None if d1_formula is None else d1_formula(3, t)
+        assert (ev.d2_exact, ev.d1_exact) == (d2_exact, d1_exact)
+
+    def test_capped_minimizer_is_not_converged(self, basis3):
+        est = dc.minimize_d1(st.isotropic(basis3, 0.3),
+                             dc.OptimizerConfig(starts=1, max_iter=3, tol=0))
+        assert est.converged is False
+        assert est.best_residual > 0.0
+
+    def test_default_minimizer_converges_on_werner(self, basis3):
+        est = dc.minimize_d1(st.class_a_state(basis3, np.eye(3, dtype=complex), 0.3))
+        assert est.converged is True
+        assert est.best_residual <= dc.OptimizerConfig().tol
+
+
 class TestMinimizer:
     def test_zero_correlation(self, basis3):
         state = st.assemble(basis3, np.zeros(8), np.zeros(8), np.zeros((8, 8)))

@@ -47,10 +47,17 @@ def _fmt(x) -> str:
     return format(float(x), ".17g")
 
 
+class OutputError(Exception):
+    """An --out file that cannot be written; reported with exit code 2."""
+
+
 def _emit(text: str, out_path) -> None:
     if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise OutputError(f"cannot write {out_path}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -402,6 +409,9 @@ def _spectrum_defect(matrix, spec) -> float:
 
 
 def cmd_verify(args) -> int:
+    if args.seed < 0:
+        print(f"error: --seed must be non-negative, got {args.seed}", file=sys.stderr)
+        return 2
     dims = [3, 4]
     if args.d and args.d not in dims:
         dims.append(args.d)
@@ -486,6 +496,9 @@ def main(argv=None) -> int:
     except states_mod.UnphysicalStateError as exc:
         print(f"error: unphysical state: {exc}", file=sys.stderr)
         return 3
+    except OutputError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -57,6 +57,8 @@ class DiscordEstimate:
     frame: Optional[MeasurementFrame] = None
     best_residual: float = 0.0  # final simplex spread of the winning start
     converged: bool = False  # best_residual <= the optimizer's tol
+    nfev: int = 0  # objective calls over all starts run
+    starts_run: int = 0  # starts run before the multi-start stopped
 
 
 @dataclass(frozen=True)
@@ -99,6 +101,8 @@ class OptimizerConfig:
             raise ValueError(f"starts must be at least 1, got {self.starts}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if not (math.isfinite(self.tol) and self.tol >= 0.0):
             raise ValueError(f"tol must be finite and non-negative, got {self.tol}")
 
@@ -316,12 +320,15 @@ def _objective(basis: GellMannBasis, state: TwoQuditState, kind: str):
 
 
 def _nelder_mead(f, theta0: np.ndarray, config: OptimizerConfig):
-    """One start: Nelder-Mead with restarts from the incumbent on stall."""
+    """One start: Nelder-Mead with restarts from the incumbent on stall.
+
+    Returns (best value, its theta, final simplex spread, value at theta0).
+    """
     # imported here so that importing the package does not pay for scipy.optimize
     from scipy.optimize import minimize
 
     best_x = np.asarray(theta0, dtype=float)
-    best_f = f(best_x)
+    best_f = f0 = f(best_x)
     spread = np.inf
     for _ in range(4):
         res = minimize(
@@ -342,27 +349,47 @@ def _nelder_mead(f, theta0: np.ndarray, config: OptimizerConfig):
             best_f, best_x = float(res.fun), np.asarray(res.x)
         if not improved:
             break
-    return best_f, best_x, spread
+    return best_f, best_x, spread, f0
 
 
 def _minimize(basis: GellMannBasis, state: TwoQuditState, kind: str,
               config: OptimizerConfig) -> DiscordEstimate:
-    f = _objective(basis, state, kind)
+    """Seeded multi-start search; stops early once the objective is frame-constant.
+
+    A start is flat when its search lowered the objective by at most tol.
+    Two flat starts that agree within tol have each searched in full around
+    two different frames and seen no variation, so the remaining starts are
+    skipped.  An objective that varies runs every start, and tol = 0 never
+    stops early.
+    """
+    objective = _objective(basis, state, kind)
+    nfev = 0
+
+    def f(theta: np.ndarray) -> float:
+        nonlocal nfev
+        nfev += 1
+        return objective(theta)
+
     n = basis.n
     best = None  # (value, norm, theta, spread)
+    flat_values: list[float] = []
     for s in range(config.starts):
         if s == 0:
             theta0 = np.zeros(n)
         else:
             rng = np.random.default_rng([config.seed, s])
             theta0 = 0.8 * rng.standard_normal(n)
-        value, theta, spread = _nelder_mead(f, theta0, config)
+        value, theta, spread, f0 = _nelder_mead(f, theta0, config)
         norm = float(np.linalg.norm(theta))
         candidate = (value, norm, theta, spread)
         if best is None or value < best[0] - 1e-12:
             best = candidate
         elif abs(value - best[0]) <= 1e-12 and norm < best[1]:
             best = candidate
+        if config.tol > 0 and f0 - value <= config.tol:
+            if any(abs(value - other) <= config.tol for other in flat_values):
+                break
+            flat_values.append(value)
     value, _, theta, spread = best
     frame = frame_from_theta(basis, theta)
     return DiscordEstimate(
@@ -371,6 +398,8 @@ def _minimize(basis: GellMannBasis, state: TwoQuditState, kind: str,
         frame=frame,
         best_residual=spread,
         converged=spread <= config.tol,
+        nfev=nfev,
+        starts_run=s + 1,
     )
 
 

@@ -193,12 +193,12 @@ def wedge(tensors: StructureTensors, n: np.ndarray, m: np.ndarray) -> np.ndarray
 
 def expand(basis: GellMannBasis, a0: complex, a: np.ndarray) -> np.ndarray:
     """Assemble a0*I + <a, g> from coefficient form."""
+    d, n = basis.d, basis.n
     a = np.asarray(a)
-    if a.shape != (basis.n,):
-        raise ValueError(f"coefficient vector must have length {basis.n}, got {a.shape}")
-    return a0 * np.eye(basis.d, dtype=complex) + np.einsum(
-        "j,jab->ab", a, basis.generators
-    )
+    if a.shape != (n,):
+        raise ValueError(f"coefficient vector must have length {n}, got {a.shape}")
+    flat = basis.generators.reshape(n, d * d)
+    return a0 * np.eye(d, dtype=complex) + (a @ flat).reshape(d, d)
 
 
 def expand_pair(

@@ -88,10 +88,11 @@ class TestDiscordCommand:
 NUMERIC = ["--numeric", "--starts", "1", "--max-iter", "3"]
 ZERO_STATE = {"d": 3, "x": [0.0] * 8, "y": [0.0] * 8, "K": np.zeros((8, 8)).tolist()}
 
-# id, argv ("{state}" stands for the document's path), document (None, a
-# dict, or "isotropic" for st.isotropic(p=0.3)), exit code, and a fragment of
-# the one-line "error:" message, or None where the run still reports values
-# (a JSON record for discord, every CSV row for scan)
+# id, argv ("{state}" stands for the document's path, "{tmp}" for a fresh
+# empty directory), document (None, a dict, or "isotropic" for
+# st.isotropic(p=0.3)), exit code, and a fragment of the one-line "error:"
+# message, or None where the run still reports values (a JSON record for
+# discord, every CSV row for scan)
 EXIT_CODE_TABLE = [
     ("starts-0", ["discord", "--state", "{state}", "--numeric", "--starts", "0"],
      "isotropic", 2, "starts"),
@@ -116,6 +117,15 @@ EXIT_CODE_TABLE = [
     ("scan-tol-0-nonconvergence",
      ["scan", "--family", "werner", "--t-min", "-0.5", "--t-max", "0.2", "--t-steps", "2",
       *NUMERIC, "--tol", "0"], None, 4, None),
+    ("seed-negative", ["discord", "--state", "{state}", *NUMERIC, "--seed", "-1"],
+     "isotropic", 2, "seed must be non-negative"),
+    ("scan-seed-negative",
+     ["scan", "--family", "werner", "--numeric", "--starts", "2", "--max-iter", "3",
+      "--seed", "-1"], None, 2, "seed must be non-negative"),
+    ("verify-seed-negative", ["verify", "--seed", "-1"], None, 2,
+     "--seed must be non-negative"),
+    ("out-unwritable", ["appendix-c", "--out", "{tmp}/missing/report.txt"], None, 2,
+     "cannot write"),
 ]
 
 
@@ -132,7 +142,8 @@ class TestExitCodes:
             st.write_state(st.isotropic(basis3, 0.3), path)
         elif document is not None:
             path.write_text(json.dumps(document))
-        assert run([a.replace("{state}", str(path)) for a in argv]) == code
+        argv = [a.replace("{state}", str(path)).replace("{tmp}", str(tmp_path)) for a in argv]
+        assert run(argv) == code
         out, err = capsys.readouterr()
         if message is None:
             assert err == ""

@@ -445,3 +445,32 @@ class TestMinimizer:
         assert_allclose(
             est_aa.value, dc.d1_exact_anti_automorphism(d, t), atol=1e-8
         )
+
+
+class TestEarlyStop:
+    @pytest.mark.parametrize("family", ["werner", "class_aa"])
+    def test_frame_constant_objective_stops_after_two_starts(self, basis3, family):
+        t = 0.25
+        if family == "werner":
+            state = st.class_a_state(basis3, np.eye(3, dtype=complex), t)
+            d1_exact = dc.d1_exact_automorphism(3, t)
+        else:
+            state = st.class_aa_state(basis3, la.random_special_unitary(3, 92),
+                                      la.random_special_unitary(3, 93), t)
+            d1_exact = dc.d1_exact_anti_automorphism(3, t)
+        cfg = dc.OptimizerConfig(starts=4, seed=1)
+        est1, est2 = dc.minimize_d1(state, cfg), dc.minimize_d2(state, cfg)
+        assert (est1.starts_run, est2.starts_run) == (2, 2)
+        assert est1.nfev > 0 and est2.nfev > 0
+        assert_allclose(est1.value, d1_exact, atol=1e-8)
+        assert_allclose(est2.value, dc.d2_exact_orthogonal(3, t), atol=1e-8)
+
+    def test_varying_objective_runs_every_start(self, basis3):
+        state = st.bell_diagonal(basis3, {(0, 0): 0.55, (1, 1): 0.3, (2, 2): 0.15})
+        est = dc.minimize_d1(state, dc.OptimizerConfig(starts=6, seed=5))
+        assert est.starts_run == 6
+
+    def test_zero_tol_never_stops_early(self, basis3):
+        state = st.class_a_state(basis3, np.eye(3, dtype=complex), 0.25)
+        est = dc.minimize_d1(state, dc.OptimizerConfig(starts=3, tol=0, max_iter=50))
+        assert est.starts_run == 3

@@ -161,6 +161,20 @@ class TestExpandDecompose:
         with pytest.raises(ValueError):
             la.decompose(basis3, bad)
 
+    @pytest.mark.parametrize("d", [3, 4, 5, 6, 7, 8])
+    def test_expand_matches_einsum_bit_for_bit(self, d):
+        """The flattened product gives the generator sum einsum gives, bit for bit."""
+        basis = la.build_basis(d)
+        n = basis.n
+        rng = np.random.default_rng([12, d])
+        for _ in range(10):
+            real = rng.standard_normal(n)
+            cplx = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            for a0, a in ((0.0, real), (0.3, real), (0.2 - 0.1j, cplx)):
+                old = a0 * np.eye(d, dtype=complex) + np.einsum(
+                    "j,jab->ab", a, basis.generators)
+                assert np.array_equal(la.expand(basis, a0, a), old)
+
     @pytest.mark.parametrize("d", [3, 5])
     def test_expand_pair_matches_kron_sum(self, d):
         """All four terms land in the a0 I x I + <x,g> x I + I x <y,g> + K order."""

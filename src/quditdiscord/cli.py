@@ -67,11 +67,7 @@ def _emit_json(doc, out_path) -> None:
 
 
 def cmd_basis(args) -> int:
-    try:
-        basis = lie.build_basis(args.d)
-    except lie.UnsupportedDimensionError as exc:
-        print(f"error: {exc} (supported: d >= 3)", file=sys.stderr)
-        return 2
+    basis = lie.build_basis(args.d)
     tensors = lie.structure_tensors(basis)
     g = basis.generators
     gram = np.einsum("jab,kba->jk", g, g).real
@@ -413,8 +409,10 @@ def cmd_verify(args) -> int:
         print(f"error: --seed must be non-negative, got {args.seed}", file=sys.stderr)
         return 2
     dims = [3, 4]
-    if args.d and args.d not in dims:
-        dims.append(args.d)
+    if args.d is not None:
+        lie.build_basis(args.d)  # an unsupported --d fails before any check runs
+        if args.d not in dims:
+            dims.append(args.d)
     failures = 0
     for d in dims:
         for name, passed, residual in _verify_checks(d, args.seed):

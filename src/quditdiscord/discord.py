@@ -17,11 +17,19 @@ from typing import Optional
 
 import numpy as np
 
-from .lie_algebra import GellMannBasis, build_basis, expand, expi, structure_tensors
+from .lie_algebra import (
+    GellMannBasis,
+    build_basis,
+    expand,
+    expi,
+    phase_normalize,
+    structure_tensors,
+)
 from .measurement import (
     MeasurementFrame,
     disturbance_in_frame,
     frame_from_theta,
+    frame_from_unitary,
     trace_norm_hermitian,
 )
 from .states import TwoQuditState
@@ -55,9 +63,10 @@ class DiscordEstimate:
     value: float
     method: str  # analytic | lower_bound | numerical_min
     frame: Optional[MeasurementFrame] = None
-    best_residual: float = 0.0  # final simplex spread of the winning start
-    converged: bool = False  # best_residual <= the optimizer's tol
-    nfev: int = 0  # objective calls over all starts run
+    # D1: final simplex spread of the winning start; D2: its last sweep's gain
+    best_residual: float = 0.0
+    converged: bool = False  # see minimize_d1 / minimize_d2
+    nfev: int = 0  # D1: objective calls over all starts run; D2: sweeps
     starts_run: int = 0  # starts run before the multi-start stopped
 
 
@@ -298,23 +307,20 @@ def evaluate(state: TwoQuditState) -> Evaluation:
 # --- numerical minimization over frames --------------------------------------
 
 
-def _objective(basis: GellMannBasis, state: TwoQuditState, kind: str):
-    """The D1 or D2 objective of theta, evaluated in the measured basis.
+def _objective(basis: GellMannBasis, state: TwoQuditState):
+    """The D1 objective of theta, evaluated in the measured basis.
 
-    Both norms are unitarily invariant, so the disturbance is never rotated
-    back and no frame is built: the returned frame is validated once, by
-    :func:`frame_from_theta`, after the search.
+    The trace norm is unitarily invariant, so the disturbance is never
+    rotated back and no frame is built: the returned frame is validated
+    once, by :func:`frame_from_theta`, after the search.
     """
     d = basis.d
     rho = state.rho
     pref1 = d / (2.0 * (d - 1))
-    pref2 = d / (d - 1.0)
 
     def f(theta: np.ndarray) -> float:
         R = disturbance_in_frame(rho, expi(expand(basis, 0.0, theta)))
-        if kind == "d1":
-            return pref1 * trace_norm_hermitian(R)
-        return pref2 * float(np.vdot(R, R).real)
+        return pref1 * trace_norm_hermitian(R)
 
     return f
 
@@ -352,26 +358,100 @@ def _nelder_mead(f, theta0: np.ndarray, config: OptimizerConfig):
     return best_f, best_x, spread, f0
 
 
-def _minimize(basis: GellMannBasis, state: TwoQuditState, kind: str,
-              config: OptimizerConfig) -> DiscordEstimate:
-    """Seeded multi-start search; stops early once the objective is frame-constant.
+def _hermitian_blocks(rho: np.ndarray, d: int) -> np.ndarray:
+    """rho's side-A blocks A_be[a, c] = rho[(a b), (c e)] as d^2 Hermitian matrices.
+
+    A_eb = A_be^+, so the pair (b, e), b < e, is carried by the Hermitian
+    parts (A_be + A_eb)/2 and (A_be - A_eb)/2i with weight 2; scaling both
+    by sqrt(2) puts that weight into the matrices.  Then, for every U, the
+    squared diagonals of U^+ H U summed over the stack equal those of
+    U^+ A_be U summed over all (b, e).
+    """
+    A = rho.reshape(d, d, d, d).transpose(1, 3, 0, 2)  # A[b, e] is the block A_be
+    b, e = np.triu_indices(d, 1)
+    r = math.sqrt(0.5)
+    diag = np.arange(d)
+    return np.concatenate([A[diag, diag], r * (A[b, e] + A[e, b]),
+                           -1j * r * (A[b, e] - A[e, b])])
+
+
+def _diagonal_mass(H: np.ndarray) -> float:
+    """Sum over the stack of the squared diagonal entries."""
+    diag = np.einsum("mkk->mk", H).real
+    return float(np.sum(diag * diag))
+
+
+# a pair's gain at most this share of tr G is rounding, not a rotation
+_ROTATION_EPS = 1e-12
+
+
+def _jacobi_sweeps(blocks: np.ndarray, U: np.ndarray, pref2: float, total: float,
+                   config: OptimizerConfig):
+    """One start of Jacobi joint diagonalization (Cardoso & Souloumiac, 1996).
+
+    Works on H = U^+ B U for the stack B of :func:`_hermitian_blocks`, where
+    the D2 objective is pref2 (total - diagonal mass of H); U is rotated in
+    place.  Each rotation of the pair (p, q) maximizes the pair's diagonal
+    mass in closed form: with h = [H_pp - H_qq, 2 Re H_pq, 2 Im H_pq] per
+    matrix, the top eigenvector [x, y, z] (x >= 0) of G = sum h h^T gives
+    c = sqrt((1 + x)/2) and s = (y - iz)/(2c), and it raises the mass by
+    (lambda_max - G_00)/2.  A rotation whose gain is lost in the rounding of
+    G is not made, so a frame-constant objective (G proportional to I)
+    makes no rotation.
+
+    A start ends when a sweep lowers the objective by at most tol (a sweep
+    without rotation lowers it by exactly 0) or after max_iter sweeps.
+    Returns (value, value at the start, last sweep's gain, sweeps run).
+    """
+    d = U.shape[0]
+    H = U.conj().T @ blocks @ U
+    f0 = value = pref2 * (total - _diagonal_mass(H))
+    for sweeps in range(1, config.max_iter + 1):
+        for p in range(d - 1):
+            for q in range(p + 1, d):
+                off = H[:, p, q]
+                h = np.stack([H[:, p, p].real - H[:, q, q].real, 2.0 * off.real,
+                              2.0 * off.imag])
+                G = h @ h.T
+                w, V = np.linalg.eigh(G)
+                if w[2] - G[0, 0] <= _ROTATION_EPS * G.trace():
+                    continue
+                x, y, z = V[:, 2] if V[0, 2] >= 0.0 else -V[:, 2]
+                c = math.sqrt((1.0 + x) / 2.0)
+                s = complex(y, -z) / (2.0 * c)
+                # U <- U J with J = [[c, -conj(s)], [s, c]] on (p, q); H <- J^+ H J
+                for M in (U, H):
+                    col_p, col_q = M[..., :, p].copy(), M[..., :, q].copy()
+                    M[..., :, p] = c * col_p + s * col_q
+                    M[..., :, q] = c * col_q - s.conjugate() * col_p
+                row_p, row_q = H[:, p, :].copy(), H[:, q, :].copy()
+                H[:, p, :] = c * row_p + s.conjugate() * row_q
+                H[:, q, :] = c * row_q - s * row_p
+        new = pref2 * (total - _diagonal_mass(H))
+        gain, value = value - new, new
+        if gain <= config.tol:
+            break
+    return value, f0, gain, sweeps
+
+
+def _minimize(search, n: int, config: OptimizerConfig):
+    """Seeded multi-start loop; stops early once the objective is frame-constant.
+
+    Start 0 is the frame U = I, start s > 0 the frame exp(i <theta0, g>)
+    with theta0 = 0.8 * standard_normal(n) from default_rng([seed, s]).
+    ``search(theta0)`` runs one start and returns (value, size, point,
+    residual, value at the start); among values within 1e-12 the smaller
+    size wins, and the earlier start on equal sizes.
 
     A start is flat when its search lowered the objective by at most tol.
     Two flat starts that agree within tol have each searched in full around
     two different frames and seen no variation, so the remaining starts are
     skipped.  An objective that varies runs every start, and tol = 0 never
-    stops early.
+    stops early.  Returns (value, point, residual) of the winning start,
+    the values every start reached, and the number of starts run.
     """
-    objective = _objective(basis, state, kind)
-    nfev = 0
-
-    def f(theta: np.ndarray) -> float:
-        nonlocal nfev
-        nfev += 1
-        return objective(theta)
-
-    n = basis.n
-    best = None  # (value, norm, theta, spread)
+    best = None  # (value, size, point, residual)
+    values: list[float] = []
     flat_values: list[float] = []
     for s in range(config.starts):
         if s == 0:
@@ -379,43 +459,96 @@ def _minimize(basis: GellMannBasis, state: TwoQuditState, kind: str,
         else:
             rng = np.random.default_rng([config.seed, s])
             theta0 = 0.8 * rng.standard_normal(n)
-        value, theta, spread, f0 = _nelder_mead(f, theta0, config)
-        norm = float(np.linalg.norm(theta))
-        candidate = (value, norm, theta, spread)
+        value, size, point, residual, f0 = search(theta0)
+        values.append(value)
+        candidate = (value, size, point, residual)
         if best is None or value < best[0] - 1e-12:
             best = candidate
-        elif abs(value - best[0]) <= 1e-12 and norm < best[1]:
+        elif abs(value - best[0]) <= 1e-12 and size < best[1]:
             best = candidate
         if config.tol > 0 and f0 - value <= config.tol:
             if any(abs(value - other) <= config.tol for other in flat_values):
                 break
             flat_values.append(value)
-    value, _, theta, spread = best
-    frame = frame_from_theta(basis, theta)
-    return DiscordEstimate(
-        value=float(value),
-        method="numerical_min",
-        frame=frame,
-        best_residual=spread,
-        converged=spread <= config.tol,
-        nfev=nfev,
-        starts_run=s + 1,
-    )
+    value, _, point, residual = best
+    return (value, point, residual), values, s + 1
 
 
 def minimize_d1(state: TwoQuditState, config: OptimizerConfig | None = None) -> DiscordEstimate:
     """Multi-start derivative-free minimization of the trace-norm objective.
 
-    The returned value is an upper bound on the discord that equals it when
-    the search converges globally; deterministic for a fixed seed.
-    Non-convergence is reported through ``converged``, never by suppressing
-    the value.
+    Each start runs Nelder-Mead over theta, with frames U = exp(i <theta, g>);
+    ties break toward the smaller ||theta||.  The returned value is an upper
+    bound on the discord that equals it when the search converges globally;
+    deterministic for a fixed seed.  ``converged`` means the winning start's
+    final simplex spread is at most tol; non-convergence is reported, never
+    hidden by suppressing the value.  ``nfev`` counts objective calls.
     """
     config = config or OptimizerConfig()
-    return _minimize(build_basis(state.d), state, "d1", config)
+    basis = build_basis(state.d)
+    objective = _objective(basis, state)
+    nfev = 0
+
+    def f(theta: np.ndarray) -> float:
+        nonlocal nfev
+        nfev += 1
+        return objective(theta)
+
+    def search(theta0: np.ndarray):
+        value, theta, spread, f0 = _nelder_mead(f, theta0, config)
+        return value, float(np.linalg.norm(theta)), theta, spread, f0
+
+    (value, theta, spread), _, starts_run = _minimize(search, basis.n, config)
+    return DiscordEstimate(
+        value=float(value),
+        method="numerical_min",
+        frame=frame_from_theta(basis, theta),
+        best_residual=spread,
+        converged=spread <= config.tol,
+        nfev=nfev,
+        starts_run=starts_run,
+    )
 
 
 def minimize_d2(state: TwoQuditState, config: OptimizerConfig | None = None) -> DiscordEstimate:
-    """Multi-start minimization of the Hilbert-Schmidt objective."""
+    """Multi-start Jacobi joint diagonalization of the Hilbert-Schmidt objective.
+
+    Pinching is a Frobenius-orthogonal projection, so the objective at the
+    frame U is pref2 (||rho||_F^2 - sum_be sum_a |<u_a|A_be|u_a>|^2) with
+    A_be the side-A blocks of rho: minimizing it jointly diagonalizes the
+    blocks.  Each start runs :func:`_jacobi_sweeps` from the start frame of
+    :func:`_minimize`, and ties keep the earlier start.  The value is the
+    objective at the returned frame.  ``converged`` means the winning start's
+    last sweep lowered the objective by at most tol (``best_residual``) and
+    at least two starts came within tol of the best value, so one start
+    never counts as converged.  ``nfev`` counts sweeps.
+    """
     config = config or OptimizerConfig()
-    return _minimize(build_basis(state.d), state, "d2", config)
+    d = state.d
+    basis = build_basis(d)
+    pref2 = d / (d - 1.0)
+    rho = state.rho
+    blocks = _hermitian_blocks(rho, d)
+    total = float(np.vdot(rho, rho).real)
+    nfev = 0
+
+    def search(theta0: np.ndarray):
+        nonlocal nfev
+        U = expi(expand(basis, 0.0, theta0))
+        value, f0, gain, sweeps = _jacobi_sweeps(blocks, U, pref2, total, config)
+        nfev += sweeps
+        return value, 0.0, U, gain, f0
+
+    (best, U, gain), values, starts_run = _minimize(search, basis.n, config)
+    U = phase_normalize(U)
+    R = disturbance_in_frame(rho, U)
+    agree = sum(value <= best + config.tol for value in values)
+    return DiscordEstimate(
+        value=pref2 * float(np.vdot(R, R).real),
+        method="numerical_min",
+        frame=frame_from_unitary(basis, U),
+        best_residual=float(gain),
+        converged=bool(gain <= config.tol and agree >= 2),
+        nfev=nfev,
+        starts_run=starts_run,
+    )

@@ -126,6 +126,8 @@ EXIT_CODE_TABLE = [
      "--seed must be non-negative"),
     ("out-unwritable", ["appendix-c", "--out", "{tmp}/missing/report.txt"], None, 2,
      "cannot write"),
+    ("verify-d-0", ["verify", "--d", "0"], None, 2, "(supported: d >= 3)"),
+    ("basis-d-2", ["basis", "--d", "2"], None, 2, "(supported: d >= 3)"),
 ]
 
 

@@ -421,7 +421,7 @@ class TestMinimizer:
         rng = np.random.default_rng([97, d])
         thetas = rng.standard_normal((10, basis.n))
         for state, exact in cases:
-            f = dc._objective(basis, state, "d1")
+            f = dc._objective(basis, state)
             values = np.array([f(theta) for theta in thetas])
             assert np.max(values) - np.min(values) < 1e-10
             assert_allclose(values, exact, rtol=0, atol=1e-10)

@@ -3,19 +3,23 @@
 The 2^8 states rho(t) = (1/9)(I x I + t sum_k s_k g_k x g_k), s_k = +/-1, are
 grouped into isospectral classes, partitioned into local-equivalence orbits,
 and annotated with positivity ranges, PPT ranges, and realignment flags.
-Because every quantity here is affine in t, the positivity and PPT ranges
-come from exact eigenvalue slopes rather than scanning.
+Every quantity here is affine in t.  The positivity and PPT ranges therefore
+come from exact eigenvalue slopes, and the realignment negativity, a convex
+function of t, takes its maximum over the positivity range at one of the two
+interval ends, so only those two points are evaluated.
 
 The module also carries a bundled reference table of the eight displacement
 adjoint matrices, which contains a known duplicated entry; the verification
 routine recomputes all eight and flags the duplication with replacements.
+:func:`report_to_json` and :func:`report_to_text` render the whole
+``appendix-c`` report, the fixture check included.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -183,17 +187,17 @@ def local_orbit(I: SignMatrix) -> tuple[SignMatrix, ...]:
 
 
 def _orbit_record(basis: GellMannBasis, members: tuple[SignMatrix, ...],
-                  t_range: tuple[float, float], grid_points: int) -> OrbitRecord:
+                  t_range: tuple[float, float]) -> OrbitRecord:
     rep = members[0]
     C = _correlation_operator(basis, rep.vector)
     pt_slopes = np.linalg.eigvalsh(partial_transpose(C, basis.d))
     ppt_lo, ppt_hi = _slope_interval(pt_slopes)
     ppt_range = (max(ppt_lo, t_range[0]), min(ppt_hi, t_range[1]))
+    # ||rho(t)^R||_1 is the norm of an affine function of t, so N_R is convex
+    # in t and peaks at an end of the interval
     eye = np.eye(basis.d ** 2)
-    worst = 0.0
-    for t in np.linspace(t_range[0], t_range[1], grid_points):
-        rho = (eye + t * C) / basis.d ** 2
-        worst = max(worst, realignment_negativity(rho, basis.d))
+    worst = max(realignment_negativity((eye + t * C) / basis.d ** 2, basis.d)
+                for t in t_range)
     return OrbitRecord(
         representative=rep,
         members=members,
@@ -203,23 +207,17 @@ def _orbit_record(basis: GellMannBasis, members: tuple[SignMatrix, ...],
     )
 
 
-def group_isospectral(
-    basis: GellMannBasis | None = None,
-    states: list[SignMatrix] | None = None,
-    *,
-    grid_points: int = 50,
-) -> list[SpectralClassRecord]:
-    """Group the sign states by their slope multiset (rounded at 1e-9).
+def group_isospectral(basis: GellMannBasis | None = None) -> list[SpectralClassRecord]:
+    """Group the 256 sign states by their slope multiset (rounded at 1e-9).
 
     Returns the 16 isospectral classes; pairing them under slope negation
     gives the 8 independent classes (see :func:`independent_classes`).
     Raises if two distinct classes come closer than the rounding scale.
     """
     basis = basis or build_basis(3)
-    states = states if states is not None else enumerate_sign_states()
     groups: dict[tuple[int, ...], list[SignMatrix]] = {}
     slope_map: dict[tuple[int, ...], np.ndarray] = {}
-    for state in states:
+    for state in enumerate_sign_states():
         slopes = affine_spectrum(basis, state)
         key = tuple(int(round(s * 1e9)) for s in slopes)
         groups.setdefault(key, []).append(state)
@@ -244,7 +242,7 @@ def group_isospectral(
                 continue
             orbit_members = local_orbit(member)
             seen.update(orbit_members)
-            orbits.append(_orbit_record(basis, orbit_members, t_rng, grid_points))
+            orbits.append(_orbit_record(basis, orbit_members, t_rng))
         records.append(
             SpectralClassRecord(
                 class_id=f"S{idx:02d}",
@@ -267,14 +265,7 @@ def independent_classes(
             by_member[member] = rec
     out = {}
     for label, signs in CLASS_REPRESENTATIVES.items():
-        rec = by_member[SignMatrix(signs)]
-        out[label] = SpectralClassRecord(
-            class_id=label,
-            members=rec.members,
-            orbits=rec.orbits,
-            slopes=rec.slopes,
-            t_range=rec.t_range,
-        )
+        out[label] = replace(by_member[SignMatrix(signs)], class_id=label)
     return out
 
 
@@ -442,10 +433,10 @@ def verify_adjoint_fixtures(basis: GellMannBasis | None = None,
     """
     basis = basis or build_basis(3)
     dup = bool(np.array_equal(_FIXTURES[(0, 1)], _FIXTURES[(1, 0)]))
+    computed = {label: fixture_adjoint(basis, label) for label in FIXTURE_LABELS}
     entries = []
     for label in FIXTURE_LABELS:
-        computed = fixture_adjoint(basis, label)
-        diff = float(np.max(np.abs(computed - _FIXTURES[label])))
+        diff = float(np.max(np.abs(computed[label] - _FIXTURES[label])))
         entries.append(
             FixtureEntry(
                 label=label,
@@ -454,8 +445,7 @@ def verify_adjoint_fixtures(basis: GellMannBasis | None = None,
                 duplicated=dup and label in ((0, 1), (1, 0)),
             )
         )
-    r01 = fixture_adjoint(basis, (0, 1))
-    r10 = fixture_adjoint(basis, (1, 0))
+    r01, r10 = computed[(0, 1)], computed[(1, 0)]
     return FixtureReport(
         entries=tuple(entries),
         duplication_detected=dup,
@@ -547,15 +537,23 @@ class ClassificationReport:
     def class_sizes(self) -> dict[str, int]:
         return {k: len(v.members) for k, v in self.classes.items()}
 
+    @property
+    def class_counts_match(self) -> bool:
+        return self.class_sizes == EXPECTED_CLASS_SIZES
 
-def _square_identity_defect(basis: GellMannBasis, good: list[SignMatrix],
-                            samples: int = 20, seed: int = 1234) -> float:
+
+# seeded sample counts of the two Jordan-structure checks
+_SQUARE_SAMPLES, _SQUARE_SEED = 20, 1234
+_FRAME_SAMPLES, _FRAME_SEED = 100, 7
+
+
+def _square_identity_defect(basis: GellMannBasis, good: list[SignMatrix]) -> float:
     """max defect of sum_p tau_I(U g_p U^+)^2 = (2(d-1)/d) I over the diagonal p."""
     target = (2.0 * (basis.d - 1) / basis.d) * np.eye(basis.d)
     worst = 0.0
     for i, sm in enumerate(good):
-        for k in range(samples):
-            U = random_special_unitary(basis.d, [seed, i, k])
+        for k in range(_SQUARE_SAMPLES):
+            U = random_special_unitary(basis.d, [_SQUARE_SEED, i, k])
             acc = np.zeros((basis.d, basis.d), dtype=complex)
             for idx in basis.diagonal_indices:
                 g = basis.generators[idx - 1]
@@ -565,22 +563,16 @@ def _square_identity_defect(basis: GellMannBasis, good: list[SignMatrix],
     return worst
 
 
-def classification_report(
-    basis: GellMannBasis | None = None,
-    *,
-    grid_points: int = 50,
-    frame_samples: int = 100,
-    seed: int = 7,
-) -> ClassificationReport:
+def classification_report(basis: GellMannBasis | None = None) -> ClassificationReport:
     """Full classification table plus the Jordan-structure verifications."""
     basis = basis or build_basis(3)
-    records = group_isospectral(basis, grid_points=grid_points)
+    records = group_isospectral(basis)
     labeled = independent_classes(records)
     autos, antis = jordan_good_matrices(basis)
     good = autos + antis
     worst_residual = 0.0
-    for k in range(frame_samples):
-        frame = random_frame(basis, [seed, k])
+    for k in range(_FRAME_SAMPLES):
+        frame = random_frame(basis, [_FRAME_SEED, k])
         for sm in good:
             worst_residual = max(
                 worst_residual, measurement_star_residual(basis, sm.vector, frame)
@@ -597,8 +589,12 @@ def classification_report(
     )
 
 
-def report_to_json(report: ClassificationReport) -> dict:
-    """JSON document: classes -> members/orbits/slopes/t_range/ppt ranges/flags."""
+def report_to_json(report: ClassificationReport,
+                   fixtures: FixtureReport | None = None) -> dict:
+    """JSON document: classes -> members/orbits/slopes/t_range/ppt ranges/flags.
+
+    With ``fixtures`` the document also carries the fixture check.
+    """
     classes = []
     for class_id in sorted(report.classes):
         rec = report.classes[class_id]
@@ -619,7 +615,7 @@ def report_to_json(report: ClassificationReport) -> dict:
             "t_range": [rec.t_range[0], rec.t_range[1]],
             "flags": {"realignment_zero": rec.realignment_zero},
         })
-    return {
+    doc = {
         "d": report.d,
         "n_isospectral_classes": len(report.all_classes),
         "class_sizes": report.class_sizes,
@@ -631,10 +627,31 @@ def report_to_json(report: ClassificationReport) -> dict:
             "good_residual_max": report.good_residual_max,
         },
         "notes": list(report.notes),
+        "class_counts_match": report.class_counts_match,
     }
+    if fixtures is not None:
+        doc["fixtures"] = {
+            "entries": [
+                {
+                    "label": list(e.label),
+                    "matched": e.matched,
+                    "max_abs_diff": e.max_abs_diff,
+                    "duplicated": e.duplicated,
+                }
+                for e in fixtures.entries
+            ],
+            "duplication_detected": fixtures.duplication_detected,
+            "replacements_differ": fixtures.replacements_differ,
+            "computed_replacements": {
+                f"{m},{n}": mat.tolist()
+                for (m, n), mat in sorted(fixtures.computed_replacements.items())
+            },
+        }
+    return doc
 
 
-def report_to_text(report: ClassificationReport) -> str:
+def report_to_text(report: ClassificationReport,
+                   fixtures: FixtureReport | None = None) -> str:
     lines = [
         f"sign-state classification (d={report.d}): "
         f"{len(report.all_classes)} isospectral classes, "
@@ -670,4 +687,14 @@ def report_to_text(report: ClassificationReport) -> str:
     lines.append("")
     for note in report.notes:
         lines.append("note: " + note)
+    if fixtures is not None:
+        lines += ["", "fixture check:"]
+        for e in fixtures.entries:
+            tag = "duplicated" if e.duplicated else ("ok" if e.matched else "MISMATCH")
+            lines.append(f"  V{e.label[0]}{e.label[1]}: {tag} "
+                         f"(max diff {e.max_abs_diff:.3e})")
+        lines.append(
+            f"  duplication detected: {fixtures.duplication_detected}; "
+            f"computed replacements differ: {fixtures.replacements_differ}"
+        )
     return "\n".join(lines) + "\n"

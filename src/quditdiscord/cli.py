@@ -243,43 +243,12 @@ def cmd_scan(args) -> int:
 def cmd_appendix_c(args) -> int:
     basis = lie.build_basis(3)
     report = classify_mod.classification_report(basis)
-    doc = classify_mod.report_to_json(report)
     fixtures = classify_mod.verify_adjoint_fixtures(basis) if args.check_fixtures else None
-    if fixtures is not None:
-        doc["fixtures"] = {
-            "entries": [
-                {
-                    "label": list(e.label),
-                    "matched": e.matched,
-                    "max_abs_diff": e.max_abs_diff,
-                    "duplicated": e.duplicated,
-                }
-                for e in fixtures.entries
-            ],
-            "duplication_detected": fixtures.duplication_detected,
-            "replacements_differ": fixtures.replacements_differ,
-            "computed_replacements": {
-                f"{m},{n}": mat.tolist()
-                for (m, n), mat in sorted(fixtures.computed_replacements.items())
-            },
-        }
-    counts_ok = report.class_sizes == classify_mod.EXPECTED_CLASS_SIZES
-    doc["class_counts_match"] = counts_ok
     if args.json:
-        _emit_json(doc, args.out)
+        _emit_json(classify_mod.report_to_json(report, fixtures), args.out)
     else:
-        text = classify_mod.report_to_text(report)
-        if fixtures is not None:
-            text += "\nfixture check:\n"
-            for e in fixtures.entries:
-                tag = "duplicated" if e.duplicated else ("ok" if e.matched else "MISMATCH")
-                text += f"  V{e.label[0]}{e.label[1]}: {tag} (max diff {e.max_abs_diff:.3e})\n"
-            text += (
-                f"  duplication detected: {fixtures.duplication_detected}; "
-                f"computed replacements differ: {fixtures.replacements_differ}\n"
-            )
-        _emit(text, args.out)
-    return 0 if counts_ok else 1
+        _emit(classify_mod.report_to_text(report, fixtures), args.out)
+    return 0 if report.class_counts_match else 1
 
 
 def _verify_checks(d: int, seed: int):
@@ -443,7 +412,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tol", type=float, default=1e-10)
         p.add_argument("--starts", type=int, default=32)
         p.add_argument("--max-iter", type=int, default=2000)
-        p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--out", default=None)
 
     p_basis = sub.add_parser("basis", help="print generator and tensor checksums")
@@ -454,6 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_disc = sub.add_parser("discord", help="discord values and bounds for a state file")
     p_disc.add_argument("--state", required=True)
     p_disc.add_argument("--numeric", action="store_true")
+    p_disc.add_argument("--format", choices=("json", "csv"), default="json")
     add_common(p_disc)
     p_disc.set_defaults(func=cmd_discord)
 

@@ -1,11 +1,12 @@
 """Local von Neumann measurements and the disturbance machinery.
 
-A measurement frame bundles the measured rank-1 projectors P_k = U P0_k U^+,
-the adjoint rotation V = R(U), and the induced real projectors P (rank d-1)
-and M = I - P (rank d(d-1)) acting on coefficient space.  The disturbance of
-a state under the one-sided measurement is S = rho - (Phi x id)(rho), and
-Q = S S^+ drives both discord measures.  The minimizer evaluates S in the
-measured basis (:func:`disturbance_in_frame`), which has the same spectrum.
+A measurement frame bundles the measured rank-1 projectors P_k = U P0_k U^+
+and the real projector M = I - V P0 V^T (rank d(d-1), V = R(U) the adjoint
+rotation) onto the coefficient directions the measurement removes.  The
+disturbance of a state under the one-sided measurement is
+S = rho - (Phi x id)(rho), and Q = S S^+ drives both discord measures.  The
+minimizer evaluates S in the measured basis (:func:`disturbance_in_frame`),
+which has the same spectrum.
 """
 
 from __future__ import annotations
@@ -48,18 +49,16 @@ class MeasurementFrame:
     """Frame of a local projective measurement on subsystem A.
 
     Attributes: ``U`` (special unitary), ``projectors`` (stack of the d
-    rank-1 projectors), ``V`` = R(U), ``P_real`` (real projector of rank
-    d-1), ``M_real`` (its complement of rank d(d-1)).
+    rank-1 projectors), ``M_real`` = I - V P0 V^T with V = R(U) (real
+    projector of rank d(d-1) onto the coefficients the measurement removes).
     """
 
-    __slots__ = ("d", "U", "projectors", "V", "P_real", "M_real")
+    __slots__ = ("d", "U", "projectors", "M_real")
 
-    def __init__(self, d, U, projectors, V, P_real, M_real):
+    def __init__(self, d, U, projectors, M_real):
         self.d = d
         self.U = U
         self.projectors = projectors
-        self.V = V
-        self.P_real = P_real
         self.M_real = M_real
 
 
@@ -72,17 +71,14 @@ def canonical_projector_diagonal(basis: GellMannBasis) -> np.ndarray:
 
 
 def frame_from_unitary(basis: GellMannBasis, U: np.ndarray) -> MeasurementFrame:
-    """Frame with projectors U P0_k U^+ and real projector V P0 V^T."""
+    """Frame with projectors U P0_k U^+ and real projector I - V P0 V^T."""
     d = basis.d
     U = np.asarray(U, dtype=complex)
     V = adjoint_rep(basis, U)  # validates unitarity / det
     projectors = np.einsum("ak,bk->kab", U, U.conj())
     P0 = canonical_projector_diagonal(basis)
-    P_real = V @ P0 @ V.T
-    M_real = np.eye(basis.n) - P_real
-    return MeasurementFrame(
-        d=d, U=U, projectors=projectors, V=V, P_real=P_real, M_real=M_real
-    )
+    M_real = np.eye(basis.n) - V @ P0 @ V.T
+    return MeasurementFrame(d=d, U=U, projectors=projectors, M_real=M_real)
 
 
 def canonical_frame(basis: GellMannBasis) -> MeasurementFrame:
@@ -91,14 +87,8 @@ def canonical_frame(basis: GellMannBasis) -> MeasurementFrame:
     eye = np.eye(d, dtype=complex)
     projectors = np.einsum("ak,bk->kab", eye, eye.conj())
     P0 = canonical_projector_diagonal(basis)
-    return MeasurementFrame(
-        d=d,
-        U=eye,
-        projectors=projectors,
-        V=np.eye(basis.n),
-        P_real=P0,
-        M_real=np.eye(basis.n) - P0,
-    )
+    return MeasurementFrame(d=d, U=eye, projectors=projectors,
+                            M_real=np.eye(basis.n) - P0)
 
 
 def frame_from_theta(basis: GellMannBasis, theta: np.ndarray) -> MeasurementFrame:
@@ -251,9 +241,7 @@ def tau_map(basis: GellMannBasis, T: np.ndarray, A: np.ndarray) -> np.ndarray:
     to unitaries as well as Hermitian observables.
     """
     a0, a = decompose_complex(basis, A)
-    return a0 * np.eye(basis.d, dtype=complex) + np.einsum(
-        "j,jab->ab", np.asarray(T, dtype=float) @ a, basis.generators
-    )
+    return expand(basis, a0, np.asarray(T, dtype=float) @ a)
 
 
 def _diagonal_generators(basis: GellMannBasis) -> np.ndarray:

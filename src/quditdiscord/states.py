@@ -9,6 +9,7 @@ together with the assembled dense density matrix.  Subsystem A is the left
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
@@ -359,7 +360,11 @@ def t_range(
 # --- state documents (JSON external interface) ------------------------------
 
 def _finite_entries(doc: Mapping, key: str) -> np.ndarray:
-    values = np.asarray(doc[key], dtype=float)
+    try:
+        values = np.asarray(doc[key], dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(
+            f"state document entry '{key}' must be an array of numbers") from exc
     if not np.all(np.isfinite(values)):
         raise ValueError(f"state document entry '{key}' has non-finite values")
     return values
@@ -370,12 +375,18 @@ def state_from_document(doc: Mapping) -> TwoQuditState:
 
     Exactly one of the two variants must be present:
     {"d", "x", "y", "K"} (coherence form, row-major K) or
-    {"d", "rho_re", "rho_im"} (dense form).  Every entry must be finite.
+    {"d", "rho_re", "rho_im"} (dense form).  The document must be an object,
+    'd' an integer (not a bool), and every other entry an array of finite
+    numbers; anything else raises ValueError.
     """
+    if not isinstance(doc, Mapping):
+        raise ValueError("state document must be a JSON object")
     if "d" not in doc:
         raise ValueError("state document must carry the dimension 'd'")
-    d = int(doc["d"])
-    basis = build_basis(d)
+    d = doc["d"]
+    if isinstance(d, bool) or not isinstance(d, numbers.Integral):
+        raise ValueError(f"state document entry 'd' must be an integer, got {d!r}")
+    basis = build_basis(int(d))
     has_coherence = any(k in doc for k in ("x", "y", "K"))
     has_dense = any(k in doc for k in ("rho_re", "rho_im"))
     if has_coherence and has_dense:

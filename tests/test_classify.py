@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 
 from quditdiscord import classify as cl
 from quditdiscord import discord as dc
+from quditdiscord import entanglement as ent
 from quditdiscord import lie_algebra as la
 from quditdiscord import measurement as ms
 from quditdiscord import states as st
@@ -156,6 +157,32 @@ class TestLocalOrbits:
             rotated = st.sign_class_state(basis3, sm.vector * v, t).rho
             local = np.kron(np.eye(3), w)
             assert np.max(np.abs(rotated - local @ rho @ local.conj().T)) < 1e-12
+
+
+class TestRealignmentMax:
+    def test_interval_ends_bound_the_grid(self, basis3, records):
+        """N_R is convex in t, so the max over t_range sits at one of its ends.
+
+        A grid scan of t_range, as the report used to run, is the reference:
+        none of its 201 points may exceed realignment_max, which must be the
+        larger of the two end values.
+        """
+        eye = np.eye(9)
+        orbits = 0
+        for rec in records:
+            for orbit in rec.orbits:
+                C = la.expand_pair(basis3, 0.0, np.zeros(8), np.zeros(8),
+                                   orbit.representative.matrix)
+
+                def n_r(t):
+                    return ent.realignment_negativity((eye + t * C) / 9.0, 3)
+
+                ends = max(n_r(t) for t in rec.t_range)
+                assert orbit.realignment_max == ends
+                grid = np.linspace(rec.t_range[0], rec.t_range[1], 201)
+                assert max(n_r(t) for t in grid) <= orbit.realignment_max + 1e-12
+                orbits += 1
+        assert orbits == 64
 
 
 class TestJordanGood:

@@ -89,7 +89,7 @@ NUMERIC = ["--numeric", "--starts", "1", "--max-iter", "3"]
 ZERO_STATE = {"d": 3, "x": [0.0] * 8, "y": [0.0] * 8, "K": np.zeros((8, 8)).tolist()}
 
 # id, argv ("{state}" stands for the document's path, "{tmp}" for a fresh
-# empty directory), document (None, a dict, or "isotropic" for
+# empty directory), document (None, a JSON value, or "isotropic" for
 # st.isotropic(p=0.3)), exit code, and a fragment of the one-line "error:"
 # message, or None where the run still reports values (a JSON record for
 # discord, every CSV row for scan)
@@ -98,6 +98,16 @@ EXIT_CODE_TABLE = [
      "isotropic", 2, "starts"),
     ("nan-document", ["discord", "--state", "{state}"],
      {**ZERO_STATE, "x": [float("nan")] + [0.0] * 7}, 2, "non-finite"),
+    ("document-number", ["discord", "--state", "{state}"], 3, 2, "JSON object"),
+    ("document-string", ["discord", "--state", "{state}"], "d", 2, "JSON object"),
+    ("d-null", ["discord", "--state", "{state}"], {**ZERO_STATE, "d": None}, 2,
+     "'d' must be an integer"),
+    ("d-fractional", ["discord", "--state", "{state}"], {**ZERO_STATE, "d": 3.7}, 2,
+     "'d' must be an integer"),
+    ("d-bool", ["discord", "--state", "{state}"], {**ZERO_STATE, "d": True}, 2,
+     "'d' must be an integer"),
+    ("x-object", ["discord", "--state", "{state}"], {**ZERO_STATE, "x": {"a": 1}}, 2,
+     "'x' must be an array of numbers"),
     ("unphysical-state", ["discord", "--state", "{state}"],
      {**ZERO_STATE, "K": (2.5 * np.eye(8)).tolist()}, 3, "unphysical state"),
     ("tol-0-nonconvergence", ["discord", "--state", "{state}", *NUMERIC, "--tol", "0"],
@@ -161,6 +171,17 @@ class TestExitCodes:
         else:
             assert err.startswith("error:") and message in err
             assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("argv, message", [
+        (["scan", "--family", "werner", "--format", "json"],
+         "unrecognized arguments: --format json"),
+    ], ids=["scan-format"])
+    def test_parser_rejection(self, capsys, argv, message):
+        """Flags a subcommand does not take are argparse errors, exit 2."""
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
 
     def test_import_leaves_out_scipy_optimize(self):
         """Only the minimizer needs scipy.optimize, so importing the CLI skips it."""

@@ -31,7 +31,7 @@ class TestFrames:
                     prod = frame.projectors[a] @ frame.projectors[b]
                     target = frame.projectors[a] if a == b else 0.0
                     assert np.max(np.abs(prod - target)) < 1e-10
-            P = frame.P_real
+            P = np.eye(basis.n) - frame.M_real
             assert np.max(np.abs(P @ P - P)) < 1e-10
             assert abs(np.trace(P) - (d - 1)) < 1e-10
             assert abs(np.trace(frame.M_real) - d * (d - 1)) < 1e-10
@@ -57,7 +57,7 @@ class TestFrames:
                 direct[j] = 0.5 * np.einsum(
                     "ab,kba->k", phi, basis3.generators
                 ).real
-            assert_allclose(direct, frame.P_real, atol=1e-10)
+            assert_allclose(direct, np.eye(8) - frame.M_real, atol=1e-10)
 
     def test_canonical_channel_keeps_diagonal(self, basis3):
         """The canonical measurement maps A to diag(a11, a22, a33)."""
@@ -69,9 +69,8 @@ class TestFrames:
         assert_allclose(measured, np.diag(np.diag(A)), atol=1e-12)
         # coefficient route: a0 unchanged, generator part projected by P0
         a0, a = la.decompose(basis3, A)
-        assert_allclose(
-            la.expand(basis3, a0, frame.P_real @ a), measured, atol=1e-12
-        )
+        P = np.eye(8) - frame.M_real
+        assert_allclose(la.expand(basis3, a0, P @ a), measured, atol=1e-12)
 
 
 class TestApplyMeasurement:
@@ -131,7 +130,7 @@ class TestDisturbance:
         rng = np.random.default_rng(41)
         frame = ms.random_frame(basis3, 42)
         K = rng.standard_normal((8, 8))
-        K2 = K + frame.P_real @ rng.standard_normal((8, 8))
+        K2 = K + (np.eye(8) - frame.M_real) @ rng.standard_normal((8, 8))
         s1 = ms.disturbance_from_vectors(basis3, np.zeros(8), K, frame)
         s2 = ms.disturbance_from_vectors(basis3, np.zeros(8), K2, frame)
         assert np.max(np.abs(frame.M_real @ K - frame.M_real @ K2)) < 1e-12

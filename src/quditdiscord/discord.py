@@ -30,7 +30,8 @@ from .measurement import (
     disturbance_in_frame,
     frame_from_theta,
     frame_from_unitary,
-    trace_norm_hermitian,
+    off_block_mask,
+    rotate_and_pinch,
 )
 from .states import TwoQuditState
 
@@ -312,15 +313,31 @@ def _objective(basis: GellMannBasis, state: TwoQuditState):
 
     The trace norm is unitarily invariant, so the disturbance is never
     rotated back and no frame is built: the returned frame is validated
-    once, by :func:`frame_from_theta`, after the search.
+    once, by :func:`frame_from_theta`, after the search.  What depends on
+    the state alone (the generators as one (n, d^2) matrix, the dense rho,
+    the off-block mask) is built here, so each call makes H = <theta, g>,
+    U = exp(iH) from LAPACK's zheevd, R = :func:`rotate_and_pinch` of rho
+    and the eigenvalues of R from zheevd.  A failed eigensolve, as for a
+    non-finite theta, raises np.linalg.LinAlgError.
     """
+    # imported here so that importing the package does not pay for scipy.linalg
+    from scipy.linalg.lapack import zheevd
+
     d = basis.d
-    rho = state.rho
+    flat = np.ascontiguousarray(basis.generators.reshape(basis.n, d * d), dtype=complex)
+    rho = np.ascontiguousarray(state.rho, dtype=complex)
+    mask = off_block_mask(d)
     pref1 = d / (2.0 * (d - 1))
 
     def f(theta: np.ndarray) -> float:
-        R = disturbance_in_frame(rho, expi(expand(basis, 0.0, theta)))
-        return pref1 * trace_norm_hermitian(R)
+        w, v, info = zheevd((theta @ flat).reshape(d, d), compute_v=1)
+        if info:
+            raise np.linalg.LinAlgError(f"zheevd failed on <theta, g> (info={info})")
+        U = (v * np.exp(1j * w)) @ v.conj().T
+        lam, _, info = zheevd(rotate_and_pinch(rho, U, mask), compute_v=0)
+        if info:
+            raise np.linalg.LinAlgError(f"zheevd failed on the disturbance (info={info})")
+        return pref1 * float(np.abs(lam).sum())
 
     return f
 
@@ -328,13 +345,15 @@ def _objective(basis: GellMannBasis, state: TwoQuditState):
 def _nelder_mead(f, theta0: np.ndarray, config: OptimizerConfig):
     """One start: Nelder-Mead with restarts from the incumbent on stall.
 
-    Returns (best value, its theta, final simplex spread, value at theta0).
+    Returns (best value, its theta, final simplex spread, value at theta0,
+    objective calls): scipy's call counts plus the one call at theta0.
     """
     # imported here so that importing the package does not pay for scipy.optimize
     from scipy.optimize import minimize
 
     best_x = np.asarray(theta0, dtype=float)
     best_f = f0 = f(best_x)
+    nfev = 1
     spread = np.inf
     for _ in range(4):
         res = minimize(
@@ -348,6 +367,7 @@ def _nelder_mead(f, theta0: np.ndarray, config: OptimizerConfig):
                 "adaptive": len(best_x) >= 10,
             },
         )
+        nfev += res.nfev
         fvals = res.final_simplex[1]
         spread = float(fvals.max() - fvals.min())
         improved = res.fun < best_f - config.tol
@@ -355,7 +375,7 @@ def _nelder_mead(f, theta0: np.ndarray, config: OptimizerConfig):
             best_f, best_x = float(res.fun), np.asarray(res.x)
         if not improved:
             break
-    return best_f, best_x, spread, f0
+    return best_f, best_x, spread, f0, nfev
 
 
 def _hermitian_blocks(rho: np.ndarray, d: int) -> np.ndarray:
@@ -399,13 +419,18 @@ def _jacobi_sweeps(blocks: np.ndarray, U: np.ndarray, pref2: float, total: float
     G is not made, so a frame-constant objective (G proportional to I)
     makes no rotation.
 
-    A start ends when a sweep lowers the objective by at most tol (a sweep
-    without rotation lowers it by exactly 0) or after max_iter sweeps.
+    A start ends after a sweep without rotation (its gain is exactly 0) or
+    after max_iter sweeps.  Convergence is often only linear, so a small
+    gain alone does not end it: the sweep must gain at most tol and, with
+    r = gain / previous gain < 1 (r = 0 on the first sweep), so must the
+    geometric remainder gain r / (1 - r) that the following sweeps would
+    add at that rate.
     Returns (value, value at the start, last sweep's gain, sweeps run).
     """
     d = U.shape[0]
     H = U.conj().T @ blocks @ U
     f0 = value = pref2 * (total - _diagonal_mass(H))
+    previous = math.inf
     for sweeps in range(1, config.max_iter + 1):
         for p in range(d - 1):
             for q in range(p + 1, d):
@@ -429,8 +454,13 @@ def _jacobi_sweeps(blocks: np.ndarray, U: np.ndarray, pref2: float, total: float
                 H[:, q, :] = c * row_q - s * row_p
         new = pref2 * (total - _diagonal_mass(H))
         gain, value = value - new, new
-        if gain <= config.tol:
+        if gain == 0.0:
             break
+        if gain <= config.tol:
+            r = gain / previous
+            if r < 1.0 and gain * r / (1.0 - r) <= config.tol:
+                break
+        previous = gain
     return value, f0, gain, sweeps
 
 
@@ -486,16 +516,13 @@ def minimize_d1(state: TwoQuditState, config: OptimizerConfig | None = None) -> 
     """
     config = config or OptimizerConfig()
     basis = build_basis(state.d)
-    objective = _objective(basis, state)
+    f = _objective(basis, state)
     nfev = 0
 
-    def f(theta: np.ndarray) -> float:
-        nonlocal nfev
-        nfev += 1
-        return objective(theta)
-
     def search(theta0: np.ndarray):
-        value, theta, spread, f0 = _nelder_mead(f, theta0, config)
+        nonlocal nfev
+        value, theta, spread, f0, calls = _nelder_mead(f, theta0, config)
+        nfev += calls
         return value, float(np.linalg.norm(theta)), theta, spread, f0
 
     (value, theta, spread), _, starts_run = _minimize(search, basis.n, config)

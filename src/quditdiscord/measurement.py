@@ -5,8 +5,9 @@ and the real projector M = I - V P0 V^T (rank d(d-1), V = R(U) the adjoint
 rotation) onto the coefficient directions the measurement removes.  The
 disturbance of a state under the one-sided measurement is
 S = rho - (Phi x id)(rho), and Q = S S^+ drives both discord measures.  The
-minimizer evaluates S in the measured basis (:func:`disturbance_in_frame`),
-which has the same spectrum.
+minimizers evaluate S in the measured basis, where it is
+R = (K^+ rho K) o mask with K = U x I and mask the 0/1 pattern of the
+off-diagonal A-blocks (:func:`rotate_and_pinch`); R has the spectrum of S.
 """
 
 from __future__ import annotations
@@ -34,6 +35,8 @@ __all__ = [
     "disturbance",
     "disturbance_from_vectors",
     "disturbance_in_frame",
+    "off_block_mask",
+    "rotate_and_pinch",
     "q_matrix",
     "q_expansion",
     "q_orthogonal",
@@ -135,14 +138,35 @@ def disturbance_from_vectors(
     return expand_pair(basis, 0.0, Mx, np.zeros(basis.n), MK) / (d * d)
 
 
+def off_block_mask(d: int) -> np.ndarray:
+    """The (d^2, d^2) 0/1 mask that is 0 exactly on the diagonal A-blocks [(k.),(k.)]."""
+    mask = np.ones((d, d, d, d))
+    idx = np.arange(d)
+    mask[idx, :, idx, :] = 0.0
+    return mask.reshape(d * d, d * d)
+
+
+def rotate_and_pinch(rho: np.ndarray, U: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """R = (K^+ rho K) o mask with K = U x I, on a dense rho and a (d, d) U.
+
+    K is built by broadcasting; nothing is validated, so callers check
+    shapes once (see :func:`disturbance_in_frame`) and pass the mask of
+    :func:`off_block_mask`.
+    """
+    d = U.shape[0]
+    K = (U[:, None, :, None] * np.eye(d)[None, :, None, :]).reshape(d * d, d * d)
+    return (K.conj().T @ rho @ K) * mask
+
+
 def disturbance_in_frame(state, U: np.ndarray) -> np.ndarray:
     """The disturbance seen from the measured basis: (U^+ x I) S (U x I).
 
     Rotating by U^+ x I takes the measured projectors to |k><k|, so this is
     R = (U^+ x I) rho (U x I) with its diagonal A-blocks R[(k.),(k.)] set
-    to zero.  It has the spectrum of S = rho - (Phi_U x id)(rho), hence the
-    same trace and Frobenius norms, and needs no adjoint rotation; U is
-    taken as given, not checked for unitarity.
+    to zero (:func:`rotate_and_pinch`).  It has the spectrum of
+    S = rho - (Phi_U x id)(rho), hence the same trace and Frobenius norms,
+    and needs no adjoint rotation; U is taken as given, not checked for
+    unitarity.
     """
     U = np.asarray(U, dtype=complex)
     d = U.shape[0]
@@ -150,13 +174,7 @@ def disturbance_in_frame(state, U: np.ndarray) -> np.ndarray:
     if U.shape != (d, d) or rho.shape != (d * d, d * d):
         raise ValueError(f"need a {d*d}x{d*d} state and a square unitary, "
                          f"got {rho.shape} and {U.shape}")
-    # rows (a b), columns (c e): U^+ acts on a as one (d, d^3) product, U on c
-    # as a product batched over (a b)
-    left = (U.conj().T @ rho.reshape(d, d ** 3)).reshape(d * d, d, d)
-    R = (U.T @ left).reshape(d, d, d, d)
-    idx = np.arange(d)
-    R[idx, :, idx, :] = 0.0
-    return R.reshape(d * d, d * d)
+    return rotate_and_pinch(rho, U, off_block_mask(d))
 
 
 def q_matrix(S: np.ndarray) -> np.ndarray:

@@ -184,16 +184,20 @@ class TestExitCodes:
         assert message in capsys.readouterr().err
 
     def test_import_leaves_out_scipy_optimize(self):
-        """Only the minimizer needs scipy.optimize, so importing the CLI skips it."""
+        """Only the minimizers need scipy.optimize and scipy.linalg.
+
+        Importing the CLI loads neither, so commands without --numeric skip both.
+        """
         src = str(Path(quditdiscord.__file__).resolve().parents[1])
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
         proc = subprocess.run(
             [sys.executable, "-c",
-             "import sys, quditdiscord.cli; print('scipy.optimize' in sys.modules)"],
+             "import sys, quditdiscord.cli; "
+             "print('scipy.optimize' in sys.modules, 'scipy.linalg' in sys.modules)"],
             capture_output=True, text=True, env=env, timeout=60, check=True,
         )
-        assert proc.stdout.strip() == "False"
+        assert proc.stdout.strip() == "False False"
 
 
 class TestScanCommand:

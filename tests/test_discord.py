@@ -447,6 +447,64 @@ class TestMinimizer:
         )
 
 
+def _generic_state(basis, seed):
+    """Half a seeded Wishart state, half the maximally mixed one: not LMM."""
+    d2 = basis.d ** 2
+    rng = np.random.default_rng(seed)
+    G = rng.standard_normal((d2, d2)) + 1j * rng.standard_normal((d2, d2))
+    rho = G @ G.conj().T
+    rho = 0.5 * rho / np.trace(rho).real + 0.5 * np.eye(d2) / d2
+    return st.from_density(basis, rho)
+
+
+class TestObjective:
+    @pytest.mark.parametrize("d", [3, 4, 5, 6])
+    def test_matches_disturbance_oracle(self, d):
+        """f(theta) = d/(2(d-1)) ||S||_1 with S from the frame's projectors."""
+        basis = la.build_basis(d)
+        lmm = st.bell_diagonal(basis, {(0, 0): 0.55, (1, 1): 0.3, (2, 2): 0.15})
+        generic = _generic_state(basis, [98, d])
+        assert lmm.is_lmm and not generic.is_lmm
+        thetas = np.random.default_rng([99, d]).standard_normal((50, basis.n))
+        for state in (lmm, generic):
+            f = dc._objective(basis, state)
+            for theta in thetas:
+                S = ms.disturbance(state, ms.frame_from_theta(basis, theta))
+                oracle = d / (2.0 * (d - 1)) * ms.trace_norm_hermitian(S)
+                assert abs(f(theta) - oracle) <= 1e-12
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_theta_raises(self, basis3, bad):
+        f = dc._objective(basis3, st.isotropic(basis3, 0.3))
+        theta = np.full(basis3.n, 0.1)
+        theta[2] = bad
+        with pytest.raises(np.linalg.LinAlgError), np.errstate(invalid="ignore"):
+            f(theta)
+
+    @pytest.mark.parametrize("family", ["werner", "generic"])
+    def test_nfev_counts_every_objective_call(self, basis3, family, monkeypatch):
+        if family == "werner":
+            state = st.class_a_state(basis3, np.eye(3, dtype=complex), 0.3)
+        else:
+            state = _generic_state(basis3, 97)
+        calls = 0
+        objective = dc._objective
+
+        def counted(basis, state):
+            f = objective(basis, state)
+
+            def g(theta):
+                nonlocal calls
+                calls += 1
+                return f(theta)
+
+            return g
+
+        monkeypatch.setattr(dc, "_objective", counted)
+        est = dc.minimize_d1(state, dc.OptimizerConfig(starts=3, seed=2, max_iter=150))
+        assert est.nfev == calls > 0
+
+
 class TestEarlyStop:
     @pytest.mark.parametrize("family", ["werner", "class_aa"])
     def test_frame_constant_objective_stops_after_two_starts(self, basis3, family):

@@ -70,13 +70,14 @@ CORPUS = json.loads(REFERENCE.read_text())["states"]
 @pytest.mark.parametrize("entry", CORPUS,
                          ids=[f"{e['generator']}-d{e['d']}-{e['seed']}" for e in CORPUS])
 def test_reference_corpus(entry):
-    """Xi bound <= Jacobi value <= the recorded Nelder-Mead value, and converged."""
+    """Xi bound <= Jacobi value <= the recorded Nelder-Mead value + tol, and converged."""
     basis = la.build_basis(entry["d"])
     state = st.from_density(basis, reference_rho(entry))
     assert state.is_lmm == (entry["generator"] == "generic_lmm")
-    est = dc.minimize_d2(state)
+    config = dc.OptimizerConfig()
+    est = dc.minimize_d2(state, config)
     assert est.converged is True
-    assert est.value <= entry["d2"] + 1e-9
+    assert est.value <= entry["d2"] + config.tol
     if state.is_lmm:
         assert dc.lower_bounds(basis, state.K)[0] <= est.value
     assert est.value == pytest.approx(_objective_at(state, est.frame), rel=0, abs=1e-12)

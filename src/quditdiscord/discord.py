@@ -345,29 +345,57 @@ def _objective(basis: GellMannBasis, state: TwoQuditState):
 def _nelder_mead(f, theta0: np.ndarray, config: OptimizerConfig):
     """One start: Nelder-Mead with restarts from the incumbent on stall.
 
-    Returns (best value, its theta, final simplex spread, value at theta0,
-    objective calls): scipy's call counts plus the one call at theta0.
+    The start first evaluates scipy's default initial simplex once: theta0
+    and, for each k, theta0 with component k scaled by 1 + 0.05 (set to
+    0.00025 where it is 0).  If tol > 0 and those n + 1 values spread by at
+    most tol, the objective shows no variation and the start ends there on
+    the best vertex, so a frame-constant objective costs n + 1 calls.
+    Otherwise scipy starts from that simplex and is handed its known values
+    instead of calling f again, so the search is the one scipy would run
+    from theta0.  Returns (best value, its theta, final simplex spread,
+    value at theta0, objective calls).
     """
     # imported here so that importing the package does not pay for scipy.optimize
     from scipy.optimize import minimize
 
     best_x = np.asarray(theta0, dtype=float)
-    best_f = f0 = f(best_x)
-    nfev = 1
-    spread = np.inf
+    n = len(best_x)
+    simplex = np.tile(best_x, (n + 1, 1))
+    k = np.arange(n)
+    simplex[k + 1, k] = np.where(best_x != 0, (1 + 0.05) * best_x, 0.00025)
+    fvals = np.array([f(x) for x in simplex])
+    best_f = f0 = float(fvals[0])
+    nfev = n + 1
+    spread = float(fvals.max() - fvals.min())
+    if config.tol > 0 and spread <= config.tol:
+        best = int(np.argmin(fvals))
+        return float(fvals[best]), simplex[best], spread, f0, nfev
+
+    known = {x.tobytes(): fx for x, fx in zip(simplex, fvals)}
+
+    def lookup(theta: np.ndarray) -> float:
+        nonlocal nfev
+        value = known.pop(theta.tobytes(), None)
+        if value is None:
+            nfev += 1
+            value = f(theta)
+        return value
+
+    initial_simplex = simplex
     for _ in range(4):
         res = minimize(
-            f,
+            lookup,
             best_x,
             method="Nelder-Mead",
             options={
                 "maxiter": config.max_iter,
                 "fatol": config.tol,
                 "xatol": 1e-9,
-                "adaptive": len(best_x) >= 10,
+                "adaptive": n >= 10,
+                "initial_simplex": initial_simplex,
             },
         )
-        nfev += res.nfev
+        initial_simplex = None
         fvals = res.final_simplex[1]
         spread = float(fvals.max() - fvals.min())
         improved = res.fun < best_f - config.tol
@@ -473,12 +501,14 @@ def _minimize(search, n: int, config: OptimizerConfig):
     residual, value at the start); among values within 1e-12 the smaller
     size wins, and the earlier start on equal sizes.
 
-    A start is flat when its search lowered the objective by at most tol.
-    Two flat starts that agree within tol have each searched in full around
-    two different frames and seen no variation, so the remaining starts are
-    skipped.  An objective that varies runs every start, and tol = 0 never
-    stops early.  Returns (value, point, residual) of the winning start,
-    the values every start reached, and the number of starts run.
+    A start is flat when its search lowered the objective by at most tol;
+    for D1 that includes a start that ended on a flat initial simplex (see
+    :func:`_nelder_mead`).  Two flat starts that agree within tol have seen
+    no variation around two different frames, so the remaining starts are
+    skipped: a frame-constant D1 objective costs 2 (n + 1) calls.  An
+    objective that varies runs every start, and tol = 0 never stops early.
+    Returns (value, point, residual) of the winning start, the values every
+    start reached, and the number of starts run.
     """
     best = None  # (value, size, point, residual)
     values: list[float] = []
@@ -511,8 +541,10 @@ def minimize_d1(state: TwoQuditState, config: OptimizerConfig | None = None) -> 
     ties break toward the smaller ||theta||.  The returned value is an upper
     bound on the discord that equals it when the search converges globally;
     deterministic for a fixed seed.  ``converged`` means the winning start's
-    final simplex spread is at most tol; non-convergence is reported, never
-    hidden by suppressing the value.  ``nfev`` counts objective calls.
+    final simplex spread (of its initial simplex, if that was flat) is at
+    most tol; non-convergence is reported, never hidden by suppressing the
+    value.  ``nfev`` counts objective calls: the n + 1 initial simplex
+    vertices of each start plus scipy's further calls.
     """
     config = config or OptimizerConfig()
     basis = build_basis(state.d)

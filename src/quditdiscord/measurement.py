@@ -12,6 +12,8 @@ off-diagonal A-blocks (:func:`rotate_and_pinch`); R has the spectrum of S.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .lie_algebra import (
@@ -146,15 +148,23 @@ def off_block_mask(d: int) -> np.ndarray:
     return mask.reshape(d * d, d * d)
 
 
+@functools.lru_cache(maxsize=None)
+def _identity(d: int) -> np.ndarray:
+    """The read-only (d, d) identity, built once per d."""
+    eye = np.eye(d)
+    eye.flags.writeable = False
+    return eye
+
+
 def rotate_and_pinch(rho: np.ndarray, U: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """R = (K^+ rho K) o mask with K = U x I, on a dense rho and a (d, d) U.
 
-    K is built by broadcasting; nothing is validated, so callers check
-    shapes once (see :func:`disturbance_in_frame`) and pass the mask of
-    :func:`off_block_mask`.
+    K is built by broadcasting U against the identity cached per d; nothing
+    is validated, so callers check shapes once (see
+    :func:`disturbance_in_frame`) and pass the mask of :func:`off_block_mask`.
     """
     d = U.shape[0]
-    K = (U[:, None, :, None] * np.eye(d)[None, :, None, :]).reshape(d * d, d * d)
+    K = (U[:, None, :, None] * _identity(d)[None, :, None, :]).reshape(d * d, d * d)
     return (K.conj().T @ rho @ K) * mask
 
 

@@ -28,3 +28,24 @@ def random_density(d, rng):
     m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     rho = m @ m.conj().T
     return rho / np.trace(rho)
+
+
+def generic_rho(d, rng):
+    """Half a random Wishart state, half the maximally mixed state."""
+    G = rng.standard_normal((d * d, d * d)) + 1j * rng.standard_normal((d * d, d * d))
+    rho = G @ G.conj().T
+    return 0.5 * rho / np.trace(rho).real + 0.5 * np.eye(d * d) / (d * d)
+
+
+def generic_lmm_rho(d, rng):
+    """(I + t C)/d^2 with C a random Hermitian matrix whose partial traces vanish."""
+    X = rng.standard_normal((d * d, d * d)) + 1j * rng.standard_normal((d * d, d * d))
+    X4 = ((X + X.conj().T) / 2).reshape(d, d, d, d)
+    eye = np.eye(d)
+    tr_b = np.einsum("acbc->ab", X4)
+    tr_a = np.einsum("acae->ce", X4)
+    total = np.trace(tr_b)
+    C = (X4 - np.einsum("ab,ce->acbe", tr_b, eye) / d - np.einsum("ab,ce->acbe", eye, tr_a) / d
+         + total * np.einsum("ab,ce->acbe", eye, eye) / d ** 2).reshape(d * d, d * d)
+    t = rng.uniform(0.3, 0.85) / abs(np.linalg.eigvalsh(C)[0])
+    return (np.eye(d * d) + t * C) / (d * d)

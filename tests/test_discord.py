@@ -1,11 +1,17 @@
 import numpy as np
 import pytest
+import scipy.optimize
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 from numpy.testing import assert_allclose
 
 from quditdiscord import discord as dc
+from quditdiscord import entanglement as ent
 from quditdiscord import lie_algebra as la
 from quditdiscord import measurement as ms
 from quditdiscord import states as st
+
+from conftest import generic_lmm_rho, generic_rho
 
 
 class TestFrameValue:
@@ -449,12 +455,7 @@ class TestMinimizer:
 
 def _generic_state(basis, seed):
     """Half a seeded Wishart state, half the maximally mixed one: not LMM."""
-    d2 = basis.d ** 2
-    rng = np.random.default_rng(seed)
-    G = rng.standard_normal((d2, d2)) + 1j * rng.standard_normal((d2, d2))
-    rho = G @ G.conj().T
-    rho = 0.5 * rho / np.trace(rho).real + 0.5 * np.eye(d2) / d2
-    return st.from_density(basis, rho)
+    return st.from_density(basis, generic_rho(basis.d, np.random.default_rng(seed)))
 
 
 class TestObjective:
@@ -523,12 +524,139 @@ class TestEarlyStop:
         assert_allclose(est1.value, d1_exact, atol=1e-8)
         assert_allclose(est2.value, dc.d2_exact_orthogonal(3, t), atol=1e-8)
 
-    def test_varying_objective_runs_every_start(self, basis3):
+    @pytest.mark.parametrize("d", [3, 4, 5])
+    @pytest.mark.parametrize("family", ["werner", "isotropic", "class_aa"])
+    def test_jordan_class_ends_every_start_on_its_initial_simplex(self, d, family):
+        """Two flat initial simplices of n + 1 vertices give the closed form."""
+        basis = la.build_basis(d)
+        if family == "werner":
+            state = st.class_a_state(basis, np.eye(d, dtype=complex), 0.25)
+        elif family == "isotropic":
+            state = st.isotropic(basis, 0.3)
+        else:
+            state = st.class_aa_state(basis, la.random_special_unitary(d, [92, d]),
+                                      la.random_special_unitary(d, [93, d]), 0.25)
+        exact = dc.evaluate(state).d1_exact
+        assert exact is not None
+        est = dc.minimize_d1(state)
+        assert (est.nfev, est.starts_run, est.converged) == (2 * (basis.n + 1), 2, True)
+        assert est.best_residual <= dc.OptimizerConfig().tol
+        assert_allclose(est.value, exact, rtol=0, atol=1e-8)
+
+    def test_varying_objective_runs_every_start(self, basis3, monkeypatch):
+        """No start of a varying objective ends on its initial simplex."""
         state = st.bell_diagonal(basis3, {(0, 0): 0.55, (1, 1): 0.3, (2, 2): 0.15})
+        calls = []
+        nelder_mead = dc._nelder_mead
+
+        def recorded(f, theta0, config):
+            result = nelder_mead(f, theta0, config)
+            calls.append(result[-1])
+            return result
+
+        monkeypatch.setattr(dc, "_nelder_mead", recorded)
         est = dc.minimize_d1(state, dc.OptimizerConfig(starts=6, seed=5))
-        assert est.starts_run == 6
+        assert est.starts_run == len(calls) == 6
+        assert est.nfev == sum(calls) > est.starts_run * (basis3.n + 1)
+        assert min(calls) > basis3.n + 1
+
+    @pytest.mark.parametrize("family", ["bell_diagonal", "generic"])
+    def test_initial_simplex_values_are_not_recomputed(self, basis3, family, monkeypatch):
+        """Within a start's initial simplex and first scipy run, no theta is evaluated twice."""
+        if family == "bell_diagonal":
+            state = st.bell_diagonal(basis3, {(0, 0): 0.55, (1, 1): 0.3, (2, 2): 0.15})
+        else:
+            state = _generic_state(basis3, 97)
+        starts = []  # per start: theta0's bytes, then the thetas evaluated, None per scipy run
+        objective, nelder_mead = dc._objective, dc._nelder_mead
+        minimize = scipy.optimize.minimize
+
+        def recording_objective(basis, state):
+            f = objective(basis, state)
+
+            def g(theta):
+                starts[-1].append(theta.tobytes())
+                return f(theta)
+
+            return g
+
+        def recording_nelder_mead(f, theta0, config):
+            starts.append([np.asarray(theta0, dtype=float).tobytes()])
+            return nelder_mead(f, theta0, config)
+
+        def marked_minimize(*args, **kwargs):
+            starts[-1].append(None)
+            return minimize(*args, **kwargs)
+
+        monkeypatch.setattr(dc, "_objective", recording_objective)
+        monkeypatch.setattr(dc, "_nelder_mead", recording_nelder_mead)
+        monkeypatch.setattr(scipy.optimize, "minimize", marked_minimize)
+        est = dc.minimize_d1(state, dc.OptimizerConfig(starts=3, seed=2, max_iter=150))
+        assert len(starts) == est.starts_run == 3
+        for theta0, *events in starts:
+            assert events.index(None) == basis3.n + 1
+            assert events[0] == theta0
+            runs = [i for i, e in enumerate(events) if e is None]
+            first = events[:runs[1]] if len(runs) > 1 else events
+            thetas = [e for e in first if e is not None]
+            assert len(thetas) == len(set(thetas)) > basis3.n + 1
 
     def test_zero_tol_never_stops_early(self, basis3):
         state = st.class_a_state(basis3, np.eye(3, dtype=complex), 0.25)
         est = dc.minimize_d1(state, dc.OptimizerConfig(starts=3, tol=0, max_iter=50))
         assert est.starts_run == 3
+
+
+SEEDS = hst.integers(min_value=0, max_value=2 ** 32 - 1)
+DIMS = hst.sampled_from([3, 4])
+PROPERTY = settings(max_examples=8, deadline=None, derandomize=True)
+
+
+def _moved(state, seed):
+    """The state under the seeded local unitary U_A x U_B."""
+    d = state.d
+    W = np.kron(la.random_special_unitary(d, [seed, 1]),
+                la.random_special_unitary(d, [seed, 2]))
+    return st.from_density(la.build_basis(d), W @ state.rho @ W.conj().T)
+
+
+class TestProperties:
+    @PROPERTY
+    @given(d=DIMS, seed=SEEDS, anti=hst.booleans(), u=hst.floats(0.0, 1.0))
+    def test_closed_class_d1_is_the_closed_form(self, d, seed, anti, u):
+        """Class A/AA under U_A x U_B: D1 = |t| or (2/d)|t| after two flat starts."""
+        basis = la.build_basis(d)
+        eye = np.eye(d, dtype=complex)
+        if anti:
+            lo, hi = -d / (2.0 * (d * d - 1)), d / 2.0
+            t = lo + u * (hi - lo)
+            state, exact = st.class_aa_state(basis, eye, eye, t), 2.0 * abs(t) / d
+        else:
+            lo, hi = -d / (2.0 * (d - 1)), d / (2.0 * (d + 1))
+            t = lo + u * (hi - lo)
+            state, exact = st.class_a_state(basis, eye, t), abs(t)
+        est = dc.minimize_d1(_moved(state, seed))
+        assert est.starts_run == 2
+        assert_allclose(est.value, exact, rtol=0, atol=1e-8)
+
+    @PROPERTY
+    @given(d=DIMS, seed=SEEDS, lmm=hst.booleans(), w=hst.floats(0.0, 1.0))
+    def test_bounds_and_negativity_are_local_unitary_invariant(self, d, seed, lmm, w):
+        """A generic state mixed with weight w of P_00, which entangles it for larger w."""
+        basis = la.build_basis(d)
+        rho = (generic_lmm_rho if lmm else generic_rho)(d, np.random.default_rng(seed))
+        state = st.from_density(basis, (1 - w) * rho + w * st.bell_projector(basis, (0, 0)).rho)
+        moved = _moved(state, seed)
+        assert_allclose(dc.lower_bounds(basis, moved.K), dc.lower_bounds(basis, state.K),
+                        rtol=0, atol=1e-9)
+        assert_allclose(ent.negativity(moved, d), ent.negativity(state, d), rtol=0, atol=1e-9)
+
+    @PROPERTY
+    @given(d=DIMS, seed=SEEDS)
+    def test_d1_bound_chain(self, d, seed):
+        """Xi lower bound <= minimized D1 <= the objective at theta = 0, on a small budget."""
+        basis = la.build_basis(d)
+        state = st.from_density(basis, generic_lmm_rho(d, np.random.default_rng(seed)))
+        est = dc.minimize_d1(state, dc.OptimizerConfig(starts=2, max_iter=60, seed=seed % 100))
+        assert dc.lower_bounds(basis, state.K)[1] <= est.value + 1e-12
+        assert est.value <= dc._objective(basis, state)(np.zeros(basis.n))

@@ -1,10 +1,11 @@
 """The D2 minimizer against a reference corpus and the invariants the paper implies.
 
 ``tests/data/d2_reference.json`` lists seeded generic states at d = 3, 4, 5,
-each stored as (generator, d, seed) and rebuilt here in plain numpy the way
-``bench/workloads.py`` builds its generic states.  Each entry carries the D2
-value that the 32-start Nelder-Mead search over theta found for the state,
-which is an upper bound on the discord the Jacobi search must not exceed.
+each stored as (generator, d, seed) and rebuilt by the plain-numpy generators
+of ``conftest.py`` the way ``bench/workloads.py`` builds its generic states.
+Each entry carries the D2 value that the 32-start Nelder-Mead search over
+theta found for the state, which is an upper bound on the discord the Jacobi
+search must not exceed.
 """
 
 import json
@@ -21,30 +22,9 @@ from quditdiscord import lie_algebra as la
 from quditdiscord import measurement as ms
 from quditdiscord import states as st
 
+from conftest import generic_lmm_rho, generic_rho
+
 REFERENCE = Path(__file__).resolve().parent / "data" / "d2_reference.json"
-
-
-def generic_rho(d, rng):
-    """Half a random Wishart state, half the maximally mixed state."""
-    G = rng.standard_normal((d * d, d * d)) + 1j * rng.standard_normal((d * d, d * d))
-    rho = G @ G.conj().T
-    return 0.5 * rho / np.trace(rho).real + 0.5 * np.eye(d * d) / (d * d)
-
-
-def generic_lmm_rho(d, rng):
-    """(I + t C)/d^2 with C a random Hermitian matrix whose partial traces vanish."""
-    X = rng.standard_normal((d * d, d * d)) + 1j * rng.standard_normal((d * d, d * d))
-    X4 = ((X + X.conj().T) / 2).reshape(d, d, d, d)
-    eye = np.eye(d)
-    tr_b = np.einsum("acbc->ab", X4)
-    tr_a = np.einsum("acae->ce", X4)
-    total = np.trace(tr_b)
-    C = (X4 - np.einsum("ab,ce->acbe", tr_b, eye) / d - np.einsum("ab,ce->acbe", eye, tr_a) / d
-         + total * np.einsum("ab,ce->acbe", eye, eye) / d ** 2).reshape(d * d, d * d)
-    t = rng.uniform(0.3, 0.85) / abs(np.linalg.eigvalsh(C)[0])
-    return (np.eye(d * d) + t * C) / (d * d)
-
-
 GENERATORS = {"generic": generic_rho, "generic_lmm": generic_lmm_rho}
 
 

@@ -198,8 +198,11 @@ def _scan_states(args, basis):
             weights = {(0, 0): p, (2, 2): 1.0 - p}
             yield p, states_mod.bell_diagonal(basis, weights)
     elif family.startswith("line:"):
-        pa, pb, pg = (_finite(float(v), "a line parameter")
-                      for v in family[len("line:"):].split(","))
+        values = family[len("line:"):].split(",")
+        if len(values) != 3:
+            raise ValueError(
+                f"line: needs three comma-separated weights pa,pb,pg, got {len(values)}")
+        pa, pb, pg = (_finite(float(v), "a line parameter") for v in values)
         weights = {(0, 0): pa, (1, 1): pb, (2, 2): pg}
         yield pa, states_mod.bell_diagonal(basis, weights)
     else:

@@ -56,6 +56,17 @@ __all__ = [
     "minimize_d2",
 ]
 
+# jordan_classify default: largest max|V^T V - I| accepted as orthogonal.
+JORDAN_ORTH_ATOL = 1e-9
+# jordan_classify default: largest star/wedge defect that still counts as covariant.
+JORDAN_COVARIANCE_TOL = 1e-10
+# classify_correlation: K/sqrt(n) norms below this are zero, gram defects above it general.
+CLASSIFY_ATOL = 1e-8
+# classify_correlation's orthogonality bound for K/scale, looser than JORDAN_ORTH_ATOL.
+CLASSIFY_ORTH_ATOL = 1e-6
+# classify_correlation's covariance bound for K/scale, looser than JORDAN_COVARIANCE_TOL.
+CLASSIFY_COVARIANCE_TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class DiscordEstimate:
@@ -205,13 +216,28 @@ def closed_form_spectra(d: int, t: float) -> dict[str, list[tuple[float, int]]]:
     return {"L": spec_L, "KL": spec_KL, "q_auto": spec_qa, "q_anti": spec_qaa}
 
 
-def jordan_classify(
-    basis: GellMannBasis, V: np.ndarray, *, atol: float = 1e-9, tol: float = 1e-10
-) -> JordanClass:
-    """Classify an orthogonal V by its star/wedge covariance.
+def _rotate_tensor(T: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """sum_jkl T_jkl V_ja V_kb V_lc, one matmul per index.
 
-    automorphism: V(a*b) = Va*Vb and V(a^b) = Va^Vb on all pairs;
-    anti_automorphism: star covariant, wedge anti-covariant; else neither.
+    Each pass contracts the leading index with V and moves the new index to
+    the back, so after three passes the indices are back in order.
+    """
+    n = V.shape[0]
+    for _ in range(3):
+        T = (V.T @ T.reshape(n, n * n)).reshape(n, n, n).transpose(1, 2, 0)
+    return T
+
+
+def _covariance_defects(
+    basis: GellMannBasis, V: np.ndarray, atol: float
+) -> tuple[float, float, float, float, float]:
+    """(orth, star, star_neg, plus, minus): the defects of V and, reordered, of -V.
+
+    With d_V and f_V the V-transformed dhat and fhat: orth = max|V^T V - I|,
+    star = max|d_V - dhat|, star_neg = max|d_V + dhat| and plus/minus =
+    max|f_V -+ fhat|.  Both transforms are cubic in V, so those of -V are the
+    exact negatives of these and -V has defects (orth, star_neg, star,
+    minus, plus), bit for bit.
     """
     n = basis.n
     V = np.asarray(V, dtype=float)
@@ -224,14 +250,35 @@ def jordan_classify(
     if np.max(np.abs(V - np.diag(np.diag(V)))) == 0.0:
         s = np.diag(V)
         scale = s[:, None, None] * s[None, :, None] * s[None, None, :]
-        d_t = t.dhat * scale
-        f_t = t.fhat * scale
+        d_t, f_t = t.dhat * scale, t.fhat * scale
     else:
-        d_t = np.einsum("jkl,ja,kb,lc->abc", t.dhat, V, V, V, optimize=True)
-        f_t = np.einsum("jkl,ja,kb,lc->abc", t.fhat, V, V, V, optimize=True)
-    star_defect = float(np.max(np.abs(d_t - t.dhat)))
-    plus = float(np.max(np.abs(f_t - t.fhat)))
-    minus = float(np.max(np.abs(f_t + t.fhat)))
+        d_t, f_t = _rotate_tensor(t.dhat, V), _rotate_tensor(t.fhat, V)
+    return (
+        orth,
+        float(np.max(np.abs(d_t - t.dhat))),
+        float(np.max(np.abs(d_t + t.dhat))),
+        float(np.max(np.abs(f_t - t.fhat))),
+        float(np.max(np.abs(f_t + t.fhat))),
+    )
+
+
+def jordan_classify(
+    basis: GellMannBasis, V: np.ndarray, *,
+    atol: float = JORDAN_ORTH_ATOL, tol: float = JORDAN_COVARIANCE_TOL,
+) -> JordanClass:
+    """Classify an orthogonal V by its star/wedge covariance.
+
+    automorphism: V(a*b) = Va*Vb and V(a^b) = Va^Vb on all pairs;
+    anti_automorphism: star covariant, wedge anti-covariant; else neither.
+    """
+    orth, star_defect, _, plus, minus = _covariance_defects(basis, V, atol)
+    return _jordan_class(orth, star_defect, plus, minus, tol)
+
+
+def _jordan_class(
+    orth: float, star_defect: float, plus: float, minus: float, tol: float
+) -> JordanClass:
+    """The class :func:`jordan_classify` reads off the covariance defects."""
     if star_defect < tol and plus < tol:
         return JordanClass("automorphism", orth, star_defect, plus, +1)
     if star_defect < tol and minus < tol:
@@ -248,22 +295,24 @@ def measurement_star_residual(
     Vanishes for every frame exactly when the sign matrix defines a Jordan
     automorphism.
     """
+    n = basis.n
     t = structure_tensors(basis)
-    s = np.asarray(signs, dtype=float).reshape(basis.n)
+    s = np.asarray(signs, dtype=float).reshape(n)
     imi = s[:, None] * frame.M_real * s[None, :]
-    traces = np.einsum("kl,jkl->j", imi, t.dhat, optimize=True)
+    traces = t.dhat.reshape(n, n * n) @ imi.ravel()
     return float(basis.dprime * np.max(np.abs(traces)))
 
 
 def classify_correlation(
-    basis: GellMannBasis, K: np.ndarray, *, atol: float = 1e-8
+    basis: GellMannBasis, K: np.ndarray, *, atol: float = CLASSIFY_ATOL
 ) -> tuple[str, float]:
     """Detect the exactly-solvable structure of a correlation matrix.
 
     Returns (kind, t) with kind one of 'zero', 'automorphism',
     'anti_automorphism', 'orthogonal' (t V0 without Jordan structure) or
     'general'.  The Jordan kinds fix the sign of t; the bare orthogonal kind
-    reports t = ||K||_F / sqrt(d^2-1) > 0.
+    reports t = ||K||_F / sqrt(d^2-1) > 0.  The star/wedge transform of
+    K/scale is computed once; the defects of -K/scale are read off it.
     """
     K = np.asarray(K, dtype=float)
     n = basis.n
@@ -273,8 +322,10 @@ def classify_correlation(
     gram_defect = np.max(np.abs(K @ K.T / scale ** 2 - np.eye(n)))
     if gram_defect > atol:
         return "general", 0.0
-    for t in (scale, -scale):
-        jc = jordan_classify(basis, K / t, atol=1e-6, tol=1e-8)
+    orth, star, star_neg, plus, minus = _covariance_defects(
+        basis, K / scale, CLASSIFY_ORTH_ATOL)
+    for t, defects in ((scale, (star, plus, minus)), (-scale, (star_neg, minus, plus))):
+        jc = _jordan_class(orth, *defects, CLASSIFY_COVARIANCE_TOL)
         if jc.kind != "neither":
             return jc.kind, t
     return "orthogonal", scale

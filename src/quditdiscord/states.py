@@ -132,19 +132,22 @@ def assemble(
 def decompose(
     basis: GellMannBasis, rho: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Extract (x, y, K) from a d^2 x d^2 density matrix."""
+    """Extract (x, y, K) from a d^2 x d^2 density matrix.
+
+    With G the flattened generators, tr(A g_j) = (G.conj() @ vec(A))_j, and
+    K = (d^2/4) G.conj() X G.conj()^T with X_{(a b),(c e)} = rho_{(a c),(b e)}
+    the regrouped density matrix.
+    """
     d = basis.d
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (d * d, d * d):
         raise ValueError(f"density matrix must be {d*d}x{d*d}, got {rho.shape}")
-    g = basis.generators
-    rho_a = ptrace_b(rho, d)
-    rho_b = ptrace_a(rho, d)
+    gc = basis.flat.conj()
     scale = d / np.sqrt(2.0 * d * (d - 1))
-    x = scale * np.einsum("ab,jba->j", rho_a, g, optimize=True).real
-    y = scale * np.einsum("ab,jba->j", rho_b, g, optimize=True).real
-    r4 = rho.reshape(d, d, d, d)  # indices (a, c, b, e) for rho_{(a c),(b e)}
-    K = (d * d / 4.0) * np.einsum("acbe,jba,kec->jk", r4, g, g, optimize=True).real
+    x = scale * (gc @ ptrace_b(rho, d).reshape(d * d)).real
+    y = scale * (gc @ ptrace_a(rho, d).reshape(d * d)).real
+    regrouped = rho.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
+    K = (d * d / 4.0) * (gc @ regrouped @ gc.T).real
     return x, y, K
 
 
@@ -246,7 +249,7 @@ def bell_diagonal(
         raise ValueError("weights must be nonnegative")
     total = values.sum()
     if abs(total - 1.0) > 1e-12:
-        raise ValueError(f"weights must sum to 1 (got {total!r})")
+        raise ValueError(f"weights must sum to 1 (got {float(total)!r})")
     rho = np.zeros((d * d, d * d), dtype=complex)
     for key, p in sorted(probs.items()):
         rho += (p / total) * bell_projector(basis, key).rho
@@ -277,8 +280,8 @@ def transposition_signs(basis: GellMannBasis) -> np.ndarray:
     Entry k is tr(g_k^T g_k)/2: +1 for symmetric generators, -1 for
     antisymmetric ones.
     """
-    g = basis.generators
-    s = 0.5 * np.einsum("jab,jab->j", g, g, optimize=True).real
+    flat = basis.flat
+    s = 0.5 * np.sum(flat * flat, axis=1).real
     return np.round(s).astype(float)
 
 

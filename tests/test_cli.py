@@ -9,7 +9,11 @@ import pytest
 
 import quditdiscord
 from quditdiscord import cli
+from quditdiscord import lie_algebra as la
+from quditdiscord import measurement as ms
 from quditdiscord import states as st
+
+from conftest import generic_rho
 
 
 def run(argv):
@@ -120,6 +124,10 @@ EXIT_CODE_TABLE = [
      "isotropic", 2, "tol"),
     ("pair-nan", ["scan", "--family", "pair:nan"], None, 2, "nan"),
     ("t-min-nan", ["scan", "--family", "werner", "--t-min", "nan"], None, 2, "--t-min"),
+    ("line-two-weights", ["scan", "--family", "line:1,2"], None, 2,
+     "line: needs three comma-separated weights"),
+    ("line-weights-off-one", ["scan", "--family", "line:0.1,0.1,0.1"], None, 2,
+     "weights must sum to 1 (got 0.30000000000000004)"),
     ("t-steps-0", ["scan", "--family", "werner", "--t-steps", "0"], None, 2,
      "--t-steps must be at least 1"),
     ("t-steps-negative", ["scan", "--family", "werner", "--t-steps", "-1"], None, 2,
@@ -198,6 +206,43 @@ class TestExitCodes:
             capture_output=True, text=True, env=env, timeout=60, check=True,
         )
         assert proc.stdout.strip() == "False False"
+
+
+class TestNoPathPlanning:
+    def test_analytic_commands_plan_no_einsum_path(self, tmp_path, monkeypatch, capsys):
+        """Commands without --numeric contract with matmuls, never optimize=True einsums.
+
+        ``verify`` is left out: it runs the q_expansion and q_orthogonal oracles.
+        """
+        einsum, calls = np.einsum, []
+
+        def guarded(*operands, optimize=False, **kwargs):
+            assert not optimize, f"einsum path planning for {operands[0]!r}"
+            calls.append(operands[0])
+            return einsum(*operands, optimize=optimize, **kwargs)
+
+        argvs = [
+            ["scan", "--family", "werner", "--d", "6", "--t-min", "-0.5", "--t-max", "0.4",
+             "--t-steps", "3"],
+            ["appendix-c", "--json", "--check-fixtures"],
+            ["basis", "--d", "8"],
+        ]
+        for d in range(3, 9):
+            basis = la.build_basis(d)
+            U1, U2 = (la.random_special_unitary(d, [47, d, k]) for k in (1, 2))
+            coherence, dense = tmp_path / f"coherence{d}.json", tmp_path / f"dense{d}.json"
+            st.write_state(st.class_aa_state(basis, U1, U2, -0.05), coherence)
+            rho = generic_rho(d, np.random.default_rng([47, d]))
+            st.write_state(st.from_density(basis, rho), dense, form="dense")
+            argvs += [["discord", "--state", str(coherence)], ["discord", "--state", str(dense)]]
+        monkeypatch.setattr(np, "einsum", guarded)
+        for argv in argvs:
+            assert run(argv) == 0, argv
+        capsys.readouterr()
+        assert calls  # the partial traces still go through the guarded einsum
+        basis = la.build_basis(3)
+        with pytest.raises(AssertionError, match="path planning"):
+            ms.q_expansion(basis, np.eye(8), ms.canonical_frame(basis))
 
 
 class TestScanCommand:

@@ -217,6 +217,33 @@ class TestSchattenInequality:
             assert ms.trace_norm_hermitian(S) >= np.sqrt(trace_q) - 1e-12
 
 
+def _jordan_oracle(basis, V, tol=1e-10):
+    """(kind, orthogonality, star, wedge defect, wedge sign) by the einsum form of the transform."""
+    t = la.structure_tensors(basis)
+    d_t = np.einsum("jkl,ja,kb,lc->abc", t.dhat, V, V, V, optimize=True)
+    f_t = np.einsum("jkl,ja,kb,lc->abc", t.fhat, V, V, V, optimize=True)
+    orth = np.max(np.abs(V.T @ V - np.eye(basis.n)))
+    star = np.max(np.abs(d_t - t.dhat))
+    plus, minus = np.max(np.abs(f_t - t.fhat)), np.max(np.abs(f_t + t.fhat))
+    if star < tol and plus < tol:
+        return "automorphism", orth, star, plus, 1
+    if star < tol and minus < tol:
+        return "anti_automorphism", orth, star, minus, -1
+    return "neither", orth, star, min(plus, minus), 1 if plus <= minus else -1
+
+
+def _classify_oracle(basis, K, atol=1e-8):
+    """classify_correlation with one einsum Jordan test per sign of t."""
+    scale = float(np.linalg.norm(K)) / np.sqrt(basis.n)
+    if np.max(np.abs(K @ K.T / scale ** 2 - np.eye(basis.n))) > atol:
+        return "general", 0.0
+    for t in (scale, -scale):
+        kind = _jordan_oracle(basis, K / t, tol=1e-8)[0]
+        if kind != "neither":
+            return kind, t
+    return "orthogonal", scale
+
+
 class TestJordanClassify:
     def test_identity(self, basis3):
         assert dc.jordan_classify(basis3, np.eye(8)).kind == "automorphism"
@@ -244,6 +271,22 @@ class TestJordanClassify:
         with pytest.raises(ValueError):
             dc.jordan_classify(basis3, np.ones((8, 8)))
 
+    @pytest.mark.parametrize("d", [3, 4, 5, 6])
+    def test_matches_einsum_oracle(self, d):
+        """Kind and all three defects of +-R(U), +-R(U) I0 and a random V, to 1e-12."""
+        basis = la.build_basis(d)
+        R = la.adjoint_rep(basis, la.random_special_unitary(d, [87, d]))
+        RI0 = R * st.transposition_signs(basis)
+        for V in (R, -R, RI0, -RI0, la.random_orthogonal(basis.n, [88, d])):
+            jc = dc.jordan_classify(basis, V)
+            kind, orth, star, wedge, sign = _jordan_oracle(basis, V)
+            assert (jc.kind, jc.wedge_sign) == (kind, sign)
+            assert abs(jc.orthogonality_defect - orth) < 1e-12
+            assert abs(jc.star_defect - star) < 1e-12
+            assert abs(jc.wedge_defect - wedge) < 1e-12
+        assert [dc.jordan_classify(basis, V).kind for V in (R, RI0)] == [
+            "automorphism", "anti_automorphism"]
+
 
 class TestMeasurementStarResidual:
     def test_transposition_always_vanishes(self, basis3):
@@ -256,6 +299,17 @@ class TestMeasurementStarResidual:
         for k in range(20):
             frame = ms.random_frame(basis3, [83, k])
             assert dc.measurement_star_residual(basis3, np.ones(8), frame) < 1e-10
+
+    @pytest.mark.parametrize("d", [3, 5])
+    def test_matches_einsum(self, d):
+        basis = la.build_basis(d)
+        t = la.structure_tensors(basis)
+        signs = np.where(np.random.default_rng([91, d]).random(basis.n) < 0.5, -1.0, 1.0)
+        frame = ms.random_frame(basis, [91, d])
+        imi = signs[:, None] * frame.M_real * signs[None, :]
+        expected = basis.dprime * np.max(np.abs(
+            np.einsum("kl,jkl->j", imi, t.dhat, optimize=True)))
+        assert abs(dc.measurement_star_residual(basis, signs, frame) - expected) < 1e-12
 
     def test_bad_sign_matrix_fails_somewhere(self, basis3):
         signs = np.ones(8)
@@ -292,6 +346,25 @@ class TestClassifyCorrelation:
         rng = np.random.default_rng(86)
         kind, _ = dc.classify_correlation(basis3, rng.standard_normal((8, 8)))
         assert kind == "general"
+
+    @pytest.mark.parametrize("d", [3, 4, 5, 6])
+    def test_one_transform_matches_two_pass_oracle(self, d):
+        """Reading -K/scale off the +K/scale tensors gives the two-pass kind and t."""
+        basis = la.build_basis(d)
+        U1, U2 = (la.random_special_unitary(d, [89, d, k]) for k in (1, 2))
+        V0 = la.random_orthogonal(basis.n, [90, d])
+        Ks = [
+            st.class_a_state(basis, U1, -0.3).K,
+            st.class_aa_state(basis, U1, U2, -0.05).K,
+            0.2 * V0,
+            -0.2 * V0,
+        ]
+        kinds = []
+        for K in Ks:
+            got = dc.classify_correlation(basis, K)
+            assert got == _classify_oracle(basis, K)
+            kinds.append(got[0])
+        assert kinds == ["automorphism", "anti_automorphism", "orthogonal", "orthogonal"]
 
 
 def _evaluate_case(basis, name):

@@ -69,6 +69,25 @@ class TestStructureTensors:
         assert_allclose(t.fhat, -t.fhat.transpose(1, 0, 2), atol=1e-12)
         assert_allclose(t.fhat, -t.fhat.transpose(0, 2, 1), atol=1e-12)
 
+    @pytest.mark.parametrize("d", [3, 4, 5, 6, 7, 8])
+    def test_matches_direct_traces(self, d):
+        """dhat + i fhat = tr(g_j g_k g_l)/2 to 1e-14, exact zeros where it is below 1e-14.
+
+        The whole tensor is checked for d <= 5, 300 seeded (j, k, l) triples above.
+        """
+        basis = la.build_basis(d)
+        g, n = basis.generators, basis.n
+        t = la.structure_tensors(basis)
+        if d <= 5:
+            idx = tuple(np.indices((n, n, n)).reshape(3, -1))
+            direct = np.einsum("jab,kbc,lca->jkl", g, g, g)[idx] / 2.0
+        else:
+            idx = tuple(np.random.default_rng([41, d]).integers(0, n, size=(3, 300)))
+            direct = np.array([np.trace(g[j] @ g[k] @ g[l]) for j, k, l in zip(*idx)]) / 2.0
+        for got, want in ((t.dhat[idx], direct.real), (t.fhat[idx], direct.imag)):
+            assert np.max(np.abs(got - want)) < 1e-14
+            assert np.array_equal(got == 0.0, np.abs(want) < la.TENSOR_ZERO_TOL)
+
     @pytest.mark.parametrize("d", [3, 4, 5])
     def test_delta_traceless(self, d):
         t = la.structure_tensors(la.build_basis(d))
@@ -124,6 +143,17 @@ class TestStarWedge:
         with pytest.raises(ValueError):
             la.star(tensors3, np.zeros(7), np.zeros(8))
 
+    @pytest.mark.parametrize("d", [3, 5, 8])
+    def test_matches_einsum(self, d):
+        basis = la.build_basis(d)
+        t = la.structure_tensors(basis)
+        rng = np.random.default_rng([43, d])
+        for _ in range(5):
+            a, b = rng.standard_normal(basis.n), rng.standard_normal(basis.n)
+            for product, T in ((la.star, t.dhat), (la.wedge, t.fhat)):
+                expected = basis.dprime * np.einsum("jkl,k,l->j", T, a, b, optimize=True)
+                assert np.max(np.abs(product(t, a, b) - expected)) < 1e-12
+
 
 class TestExpandDecompose:
     def test_identity_over_d(self, basis3):
@@ -154,6 +184,16 @@ class TestExpandDecompose:
             A = random_hermitian(d, rng)
             a0, a = la.decompose(basis, A)
             assert_allclose(la.expand(basis, a0, a), A, atol=1e-12)
+
+    @pytest.mark.parametrize("d", [3, 5, 8])
+    def test_decompose_complex_matches_einsum(self, d):
+        basis = la.build_basis(d)
+        rng = np.random.default_rng([44, d])
+        A = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        a0, a = la.decompose_complex(basis, A)
+        assert a0 == np.trace(A) / d
+        expected = 0.5 * np.einsum("ab,jba->j", A, basis.generators, optimize=True)
+        assert np.max(np.abs(a - expected)) < 1e-14
 
     def test_rejects_non_hermitian(self, basis3):
         bad = np.zeros((3, 3), dtype=complex)
@@ -231,7 +271,7 @@ class TestAdjointRep:
         expected = np.diag([-1.0, -1.0, 1.0, -1.0, -1.0, 1.0, 1.0, 1.0])
         assert_allclose(la.adjoint_rep(basis3, W1), expected, atol=1e-12)
 
-    @pytest.mark.parametrize("d", [3, 4])
+    @pytest.mark.parametrize("d", [3, 4, 5, 6, 7, 8])
     def test_orthogonal_and_homomorphism(self, d):
         basis = la.build_basis(d)
         for k in range(5):
@@ -240,6 +280,15 @@ class TestAdjointRep:
             R1, R2 = la.adjoint_rep(basis, U1), la.adjoint_rep(basis, U2)
             assert np.max(np.abs(R1.T @ R1 - np.eye(basis.n))) < 1e-10
             assert np.max(np.abs(la.adjoint_rep(basis, U1 @ U2) - R1 @ R2)) < 1e-10
+
+    @pytest.mark.parametrize("d", [3, 5, 8])
+    def test_matches_trace_oracle(self, d):
+        """R(U)_jk = tr(U g_k U^+ g_j)/2, entry by entry."""
+        basis = la.build_basis(d)
+        g = basis.generators
+        U = la.random_special_unitary(d, [23, d])
+        expected = 0.5 * np.einsum("ab,kbc,dc,jda->jk", U, g, U.conj(), g, optimize=True)
+        assert np.max(np.abs(la.adjoint_rep(basis, U) - expected.real)) < 1e-13
 
     def test_rejects_non_unitary(self, basis3):
         with pytest.raises(ValueError):
@@ -299,6 +348,17 @@ class TestStarSumCriterion:
             frame = ms.random_frame(basis3, [5, k])
             res = la.star_sum_criterion(tensors3, np.eye(8), frame.M_real)
             assert res.satisfied
+
+    @pytest.mark.parametrize("d", [3, 5, 8])
+    def test_matches_einsum(self, d):
+        basis = la.build_basis(d)
+        t = la.structure_tensors(basis)
+        rng = np.random.default_rng([45, d])
+        A, B = rng.standard_normal((t.n, t.n)), rng.standard_normal((t.n, t.n))
+        traces = np.einsum("km,jkl,lm->j", A, t.dhat, B, optimize=True)
+        res = la.star_sum_criterion(t, A, B)
+        assert np.max(np.abs(res.residual - basis.dprime * traces)) < 1e-12
+        assert abs(res.max_delta_trace - np.max(np.abs(traces))) < 1e-12
 
     def test_random_pair_fails_with_consistent_reports(self, tensors3):
         rng = np.random.default_rng(9)

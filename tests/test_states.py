@@ -81,6 +81,28 @@ class TestAssembleDecompose:
         assert_allclose(rho_a, expected_a, atol=1e-10)
         assert_allclose(rho_b, expected_b, atol=1e-10)
 
+    @pytest.mark.parametrize("d", [3, 5, 8])
+    def test_decompose_matches_einsum(self, d):
+        basis = la.build_basis(d)
+        g = basis.generators
+        rho = random_density(d * d, np.random.default_rng([13, d]))
+        x, y, K = st.decompose(basis, rho)
+        scale = d / np.sqrt(2.0 * d * (d - 1))
+        r4 = rho.reshape(d, d, d, d)
+        rho_a, rho_b = np.einsum("acbc->ab", r4), np.einsum("acae->ce", r4)
+        assert_allclose(x, scale * np.einsum("ab,jba->j", rho_a, g).real, rtol=0, atol=1e-14)
+        assert_allclose(y, scale * np.einsum("ab,jba->j", rho_b, g).real, rtol=0, atol=1e-14)
+        expected = (d * d / 4.0) * np.einsum("acbe,jba,kec->jk", r4, g, g, optimize=True).real
+        assert_allclose(K, expected, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("d", [3, 4, 8])
+    def test_transposition_signs(self, d):
+        basis = la.build_basis(d)
+        g = basis.generators
+        expected = np.round([np.trace(gk.T @ gk).real / 2.0 for gk in g])
+        assert np.array_equal(st.transposition_signs(basis), expected)
+        assert set(expected) == {-1.0, 1.0}
+
     def test_product_state_correlation(self, basis3):
         """rho_A x rho_B has K = d''^2 x y^T."""
         rng = np.random.default_rng(12)

@@ -58,6 +58,8 @@ __all__ = [
 ]
 
 N_QUTRIT = 8  # generators of su(3)
+# _match_subset: a computed slope within this of a closed-form one matches it.
+SLOPE_MATCH_TOL = 1e-9
 
 # Appendix representatives of the eight independent isospectral classes.
 CLASS_REPRESENTATIVES: dict[str, tuple[int, ...]] = {
@@ -511,7 +513,8 @@ def _reference_notes(labeled: dict[str, SpectralClassRecord]) -> list[str]:
     return notes
 
 
-def _match_subset(computed: np.ndarray, closed: list[float], tol: float = 1e-9) -> bool:
+def _match_subset(computed: np.ndarray, closed: list[float],
+                  tol: float = SLOPE_MATCH_TOL) -> bool:
     """Each closed-form slope must appear among the computed ones (with count)."""
     remaining = list(computed)
     for target in closed:

@@ -169,6 +169,15 @@ def _finite(value: float, what: str) -> float:
     return value
 
 
+def _parameter(text: str, what: str) -> float:
+    """A family parameter as a finite float; malformed text names the parameter."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise ValueError(f"{what} must be a number, got {text!r}") from None
+    return _finite(value, what)
+
+
 def _scan_states(args, basis):
     """Yield (t_value, state) pairs for the requested family.
 
@@ -193,7 +202,7 @@ def _scan_states(args, basis):
         if family == "pair":
             ps = grid
         else:
-            ps = [_finite(float(family[len("pair:"):]), "the pair parameter")]
+            ps = [_parameter(family[len("pair:"):], "the pair parameter")]
         for p in ps:
             weights = {(0, 0): p, (2, 2): 1.0 - p}
             yield p, states_mod.bell_diagonal(basis, weights)
@@ -202,7 +211,7 @@ def _scan_states(args, basis):
         if len(values) != 3:
             raise ValueError(
                 f"line: needs three comma-separated weights pa,pb,pg, got {len(values)}")
-        pa, pb, pg = (_finite(float(v), "a line parameter") for v in values)
+        pa, pb, pg = (_parameter(v, "a line parameter") for v in values)
         weights = {(0, 0): pa, (1, 1): pb, (2, 2): pg}
         yield pa, states_mod.bell_diagonal(basis, weights)
     else:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -28,10 +28,8 @@ from .lie_algebra import (
 from .measurement import (
     MeasurementFrame,
     disturbance_in_frame,
-    frame_from_theta,
     frame_from_unitary,
     off_block_mask,
-    rotate_and_pinch,
 )
 from .states import TwoQuditState
 
@@ -66,19 +64,28 @@ CLASSIFY_ATOL = 1e-8
 CLASSIFY_ORTH_ATOL = 1e-6
 # classify_correlation's covariance bound for K/scale, looser than JORDAN_COVARIANCE_TOL.
 CLASSIFY_COVARIANCE_TOL = 1e-8
+# smallest_eigenvalue_sum default: a smallest eigenvalue below -PSD_ATOL is not PSD.
+PSD_ATOL = 1e-9
 
 
 @dataclass(frozen=True)
 class DiscordEstimate:
-    """A discord value with its provenance and optimizer diagnostics."""
+    """A discord value with its provenance and optimizer diagnostics.
+
+    For D1, ``nfev`` counts objective calls, each of which gives the value
+    and the gradient; ``best_residual`` is the winning start's last gradient
+    infinity-norm; ``converged`` means the winning start finished its
+    smoothing continuation within ``max_iter`` L-BFGS iterations, or ended
+    flat while a second flat start agreed.  For D2 see :func:`minimize_d2`.
+    """
 
     value: float
     method: str  # analytic | lower_bound | numerical_min
     frame: Optional[MeasurementFrame] = None
-    # D1: final simplex spread of the winning start; D2: its last sweep's gain
+    # D1: last gradient infinity-norm of the winning start; D2: its last sweep's gain
     best_residual: float = 0.0
     converged: bool = False  # see minimize_d1 / minimize_d2
-    nfev: int = 0  # D1: objective calls over all starts run; D2: sweeps
+    nfev: int = 0  # D1: value+gradient calls over all starts run; D2: sweeps
     starts_run: int = 0  # starts run before the multi-start stopped
 
 
@@ -135,7 +142,7 @@ def d2_frame_value(basis: GellMannBasis, K: np.ndarray, frame: MeasurementFrame)
     return 4.0 / (d ** 3 * (d - 1)) * float(np.trace(K @ K.T @ frame.M_real))
 
 
-def smallest_eigenvalue_sum(A: np.ndarray, m0: int, *, atol: float = 1e-9) -> float:
+def smallest_eigenvalue_sum(A: np.ndarray, m0: int, *, atol: float = PSD_ATOL) -> float:
     """min over rank-m0 orthogonal projectors P of tr(PA): the m0 smallest eigenvalues.
 
     A must be positive semidefinite and 0 < m0 < n0.
@@ -358,103 +365,112 @@ def evaluate(state: TwoQuditState) -> Evaluation:
 
 # --- numerical minimization over frames --------------------------------------
 
+# minimize_d1's smoothing: mu starts at this share of mean|lambda(R)| at the start frame
+D1_MU0_SHARE = 0.05
+# and is divided by 10 per level down to this floor, which is the last level.
+D1_MU_FLOOR = 1e-12
+# L-BFGS-B settings of every run: gradient and relative-decrease tolerances, and
+# the number of correction pairs kept.
+D1_GTOL = 1e-14
+D1_FTOL = 1e-16
+D1_MAXCOR = 30
+# A run whose step ||theta|| is below this ends its smoothing level,
+D1_STEP_TOL = 1e-6
+# and a level ends after this many runs in any case.
+D1_RUNS_PER_LEVEL = 10
+# _minimize: start values within this of the best are ties, and ties keep the earlier start.
+TIE_WINDOW = 1e-12
 
-def _objective(basis: GellMannBasis, state: TwoQuditState):
-    """The D1 objective of theta, evaluated in the measured basis.
 
-    The trace norm is unitarily invariant, so the disturbance is never
-    rotated back and no frame is built: the returned frame is validated
-    once, by :func:`frame_from_theta`, after the search.  What depends on
-    the state alone (the generators as one (n, d^2) matrix, the dense rho,
-    the off-block mask) is built here, so each call makes H = <theta, g>,
-    U = exp(iH) from LAPACK's zheevd, R = :func:`rotate_and_pinch` of rho
-    and the eigenvalues of R from zheevd.  A failed eigensolve, as for a
-    non-finite theta, raises np.linalg.LinAlgError.
+class _Point(NamedTuple):
+    """One call of the D1 chart at theta: what the value and the gradient need."""
+
+    U0V: np.ndarray  # U0 V, with U0 the chart's origin frame
+    w: np.ndarray  # eigenvalues of <theta, g>
+    V: np.ndarray  # its eigenvectors
+    U: np.ndarray  # the frame U0 exp(i <theta, g>)
+    KtR: np.ndarray  # (U x I)^+ rho
+    lam: np.ndarray  # eigenvalues of R = ((U x I)^+ rho (U x I)) o mask
+    Q: np.ndarray  # their eigenvectors
+    value: float  # the D1 objective pref1 sum |lam|
+
+
+def _chart(basis: GellMannBasis, state: TwoQuditState):
+    """The D1 objective in the chart U = U0 exp(i <theta, g>): (at, smooth).
+
+    ``at(theta, U0)`` is one objective call.  It gets <theta, g> = V diag(w) V^+
+    from LAPACK's zheevd, U = U0 V diag(exp(iw)) V^+, K^+ rho and
+    R = (K^+ rho K) o mask with K = U x I, and the eigenpairs of R from a
+    second zheevd.  The trace norm is unitarily invariant, so the disturbance
+    is never rotated back and no frame is built.  A failed eigensolve, as for
+    a non-finite theta, raises np.linalg.LinAlgError.
+
+    ``smooth(point, mu)`` reads, from those eigenpairs, the smoothed value
+    pref1 sum sqrt(lambda^2 + mu^2) and its gradient in theta.  With
+    W = Q diag(lambda / sqrt(lambda^2 + mu^2)) Q^+ the value changes by
+    2 pref1 Re tr(G dE) for E = exp(i <theta, g>), G = tr_B((W o mask) K^+ rho) U0,
+    and the Daleckii-Krein formula gives
+    dE = V ((V^+ <dtheta, g> V) o Gamma) V^+ with
+    Gamma_jk = (e^{iw_j} - e^{iw_k}) / (w_j - w_k) = i e^{i(w_j + w_k)/2} sinc((w_j - w_k)/2pi),
+    which is i e^{iw_j} where w_j = w_k.  So the gradient is
+    2 pref1 Re <g_m, conj(V) ((V^+ G V)^T o Gamma) V^T> over the generators g_m.
     """
     # imported here so that importing the package does not pay for scipy.linalg
     from scipy.linalg.lapack import zheevd
 
     d = basis.d
-    flat = np.ascontiguousarray(basis.generators.reshape(basis.n, d * d), dtype=complex)
-    rho = np.ascontiguousarray(state.rho, dtype=complex)
+    d2, d3 = d * d, d ** 3
+    flat = np.ascontiguousarray(basis.generators.reshape(basis.n, d2), dtype=complex)
+    # the g_m are Hermitian, so (flat_conj @ vec(Z))_m = tr(g_m Z)
+    flat_conj = flat.conj()
+    rho_rows = np.ascontiguousarray(state.rho, dtype=complex).reshape(d, d3)
     mask = off_block_mask(d)
     pref1 = d / (2.0 * (d - 1))
 
-    def f(theta: np.ndarray) -> float:
-        w, v, info = zheevd((theta @ flat).reshape(d, d), compute_v=1)
+    def at(theta: np.ndarray, U0: np.ndarray) -> _Point:
+        w, V, info = zheevd((theta @ flat).reshape(d, d), compute_v=1)
         if info:
             raise np.linalg.LinAlgError(f"zheevd failed on <theta, g> (info={info})")
-        U = (v * np.exp(1j * w)) @ v.conj().T
-        lam, _, info = zheevd(rotate_and_pinch(rho, U, mask), compute_v=0)
+        U0V = U0 @ V
+        U = (U0V * np.exp(1j * w)) @ V.conj().T
+        Ut = U.conj().T
+        # (U^+ x I) X mixes the row blocks of X: one (d, d) by (d, d^3) product,
+        # applied to rho and then to (K^+ rho)^+ = rho K
+        KtR = (Ut @ rho_rows).reshape(d2, d2)
+        R = (Ut @ KtR.conj().T.reshape(d, d3)).reshape(d2, d2) * mask
+        lam, Q, info = zheevd(R, compute_v=1)
         if info:
             raise np.linalg.LinAlgError(f"zheevd failed on the disturbance (info={info})")
-        return pref1 * float(np.abs(lam).sum())
+        return _Point(U0V, w, V, U, KtR, lam, Q, pref1 * float(np.abs(lam).sum()))
 
-    return f
+    def smooth(p: _Point, mu: float) -> tuple[float, np.ndarray]:
+        s = np.sqrt(p.lam * p.lam + mu * mu)
+        W = ((p.Q * (p.lam / s)) @ p.Q.conj().T) * mask
+        # tr_B(W K^+ rho)[a, c] = sum_{b, k} W[(a b), k] KtR[k, (c b)]
+        X = W.reshape(d, d3) @ p.KtR.reshape(d2, d, d).transpose(2, 0, 1).reshape(d3, d)
+        Vh = p.V.conj().T
+        half = np.exp(0.5j * p.w)
+        x = 0.5 * (p.w[:, None] - p.w[None, :])
+        sinc = np.divide(np.sin(x), x, out=np.ones((d, d)), where=x != 0.0)
+        # Gamma is symmetric, so <g_m, conj(V) (A^T o Gamma) V^T> = i tr(g_m Z) with
+        # Z = V (A o Gamma / i) V^+, A = V^+ G V, and Re(i z) = -Im(z)
+        Z = p.V @ ((Vh @ X @ p.U0V) * (half[:, None] * half[None, :] * sinc)) @ Vh
+        return pref1 * float(s.sum()), -2.0 * pref1 * (flat_conj @ Z.ravel()).imag
+
+    return at, smooth
 
 
-def _nelder_mead(f, theta0: np.ndarray, config: OptimizerConfig):
-    """One start: Nelder-Mead with restarts from the incumbent on stall.
+def _objective(basis: GellMannBasis, state: TwoQuditState):
+    """The D1 objective as a function of theta alone, at the frame exp(i <theta, g>)."""
+    at, _ = _chart(basis, state)
+    eye = np.eye(basis.d, dtype=complex)
+    return lambda theta: at(np.asarray(theta, dtype=float), eye).value
 
-    The start first evaluates scipy's default initial simplex once: theta0
-    and, for each k, theta0 with component k scaled by 1 + 0.05 (set to
-    0.00025 where it is 0).  If tol > 0 and those n + 1 values spread by at
-    most tol, the objective shows no variation and the start ends there on
-    the best vertex, so a frame-constant objective costs n + 1 calls.
-    Otherwise scipy starts from that simplex and is handed its known values
-    instead of calling f again, so the search is the one scipy would run
-    from theta0.  Returns (best value, its theta, final simplex spread,
-    value at theta0, objective calls).
-    """
-    # imported here so that importing the package does not pay for scipy.optimize
-    from scipy.optimize import minimize
 
-    best_x = np.asarray(theta0, dtype=float)
-    n = len(best_x)
-    simplex = np.tile(best_x, (n + 1, 1))
-    k = np.arange(n)
-    simplex[k + 1, k] = np.where(best_x != 0, (1 + 0.05) * best_x, 0.00025)
-    fvals = np.array([f(x) for x in simplex])
-    best_f = f0 = float(fvals[0])
-    nfev = n + 1
-    spread = float(fvals.max() - fvals.min())
-    if config.tol > 0 and spread <= config.tol:
-        best = int(np.argmin(fvals))
-        return float(fvals[best]), simplex[best], spread, f0, nfev
-
-    known = {x.tobytes(): fx for x, fx in zip(simplex, fvals)}
-
-    def lookup(theta: np.ndarray) -> float:
-        nonlocal nfev
-        value = known.pop(theta.tobytes(), None)
-        if value is None:
-            nfev += 1
-            value = f(theta)
-        return value
-
-    initial_simplex = simplex
-    for _ in range(4):
-        res = minimize(
-            lookup,
-            best_x,
-            method="Nelder-Mead",
-            options={
-                "maxiter": config.max_iter,
-                "fatol": config.tol,
-                "xatol": 1e-9,
-                "adaptive": n >= 10,
-                "initial_simplex": initial_simplex,
-            },
-        )
-        initial_simplex = None
-        fvals = res.final_simplex[1]
-        spread = float(fvals.max() - fvals.min())
-        improved = res.fun < best_f - config.tol
-        if res.fun < best_f:
-            best_f, best_x = float(res.fun), np.asarray(res.x)
-        if not improved:
-            break
-    return best_f, best_x, spread, f0, nfev
+def _recentred(p: _Point) -> _Point:
+    """The same call seen from the chart whose origin is its frame (theta = 0)."""
+    d = p.U.shape[0]
+    return p._replace(U0V=p.U, w=np.zeros(d), V=np.eye(d, dtype=complex))
 
 
 def _hermitian_blocks(rho: np.ndarray, d: int) -> np.ndarray:
@@ -548,20 +564,20 @@ def _minimize(search, n: int, config: OptimizerConfig):
 
     Start 0 is the frame U = I, start s > 0 the frame exp(i <theta0, g>)
     with theta0 = 0.8 * standard_normal(n) from default_rng([seed, s]).
-    ``search(theta0)`` runs one start and returns (value, size, point,
-    residual, value at the start); among values within 1e-12 the smaller
-    size wins, and the earlier start on equal sizes.
+    ``search(theta0)`` runs one start and returns (value, value at the
+    start, result).  A value wins only if it is below the best by more than
+    TIE_WINDOW, so ties keep the earlier start.
 
     A start is flat when its search lowered the objective by at most tol;
-    for D1 that includes a start that ended on a flat initial simplex (see
-    :func:`_nelder_mead`).  Two flat starts that agree within tol have seen
-    no variation around two different frames, so the remaining starts are
-    skipped: a frame-constant D1 objective costs 2 (n + 1) calls.  An
-    objective that varies runs every start, and tol = 0 never stops early.
-    Returns (value, point, residual) of the winning start, the values every
-    start reached, and the number of starts run.
+    for D1 that includes a start whose first L-BFGS run took no step.  Two
+    flat starts that agree within tol have seen no variation around two
+    different frames, so the remaining starts are skipped: a frame-constant
+    D1 objective costs 2 objective calls.  An objective that varies runs
+    every start, and tol = 0 never stops early.  Returns (value, result) of
+    the winning start, the values every start reached, the number of starts
+    run, and whether two flat starts agreed.
     """
-    best = None  # (value, size, point, residual)
+    best = None  # (value, result)
     values: list[float] = []
     flat_values: list[float] = []
     for s in range(config.starts):
@@ -570,51 +586,121 @@ def _minimize(search, n: int, config: OptimizerConfig):
         else:
             rng = np.random.default_rng([config.seed, s])
             theta0 = 0.8 * rng.standard_normal(n)
-        value, size, point, residual, f0 = search(theta0)
+        value, f0, result = search(theta0)
         values.append(value)
-        candidate = (value, size, point, residual)
-        if best is None or value < best[0] - 1e-12:
-            best = candidate
-        elif abs(value - best[0]) <= 1e-12 and size < best[1]:
-            best = candidate
+        if best is None or value < best[0] - TIE_WINDOW:
+            best = (value, result)
         if config.tol > 0 and f0 - value <= config.tol:
             if any(abs(value - other) <= config.tol for other in flat_values):
-                break
+                return best, values, s + 1, True
             flat_values.append(value)
-    value, _, point, residual = best
-    return (value, point, residual), values, s + 1
+    return best, values, s + 1, False
 
 
 def minimize_d1(state: TwoQuditState, config: OptimizerConfig | None = None) -> DiscordEstimate:
-    """Multi-start derivative-free minimization of the trace-norm objective.
+    """Multi-start smoothed L-BFGS minimization of the trace-norm objective.
 
-    Each start runs Nelder-Mead over theta, with frames U = exp(i <theta, g>);
-    ties break toward the smaller ||theta||.  The returned value is an upper
-    bound on the discord that equals it when the search converges globally;
-    deterministic for a fixed seed.  ``converged`` means the winning start's
-    final simplex spread (of its initial simplex, if that was flat) is at
-    most tol; non-convergence is reported, never hidden by suppressing the
-    value.  ``nfev`` counts objective calls: the n + 1 initial simplex
-    vertices of each start plus scipy's further calls.
+    The D1 objective pref1 sum |lambda(R)| is smoothed to
+    pref1 sum sqrt(lambda^2 + mu^2) (Nesterov 2005) and minimized by
+    scipy's L-BFGS-B with the exact gradient of :func:`_chart`, in the chart
+    U = U0 exp(i <theta, g>) over all n generators.  Each start begins at its
+    frame from :func:`_minimize` with mu = D1_MU0_SHARE * mean|lambda(R)|
+    there (at least D1_MU_FLOOR).  Each smoothing level runs L-BFGS-B from
+    theta = 0 up to D1_RUNS_PER_LEVEL times, moving U0 to the run's end
+    after each, until a run's step ||theta|| is below D1_STEP_TOL; then mu
+    is divided by 10, down to D1_MU_FLOOR, the last level.  A start whose
+    first run takes no step (its gradient is at most D1_GTOL at the start
+    frame, as for every frame of a Jordan-class state) ends after that one
+    call.  ``max_iter`` caps the L-BFGS iterations of a start, summed over
+    its levels and runs.
+
+    A start's result is the lowest true value pref1 sum |lambda| it saw, the
+    start frame included, so the returned value is the objective at the
+    returned frame: an upper bound on the discord that equals it when the
+    search converges globally, deterministic for a fixed seed.  ``nfev``
+    counts objective calls (each gives value and gradient);
+    ``best_residual`` is the winning start's last gradient infinity-norm;
+    ``converged`` means the winning start finished its last level within
+    max_iter, or ended flat while :func:`_minimize` found a second flat
+    start that agreed.  A flat start alone is not converged: its frame is
+    stationary, which a saddle is too.  Non-convergence is reported, never
+    hidden by suppressing the value.
     """
+    # imported here so that importing the package does not pay for scipy.optimize
+    from scipy.optimize import minimize
+
     config = config or OptimizerConfig()
     basis = build_basis(state.d)
-    f = _objective(basis, state)
+    at, smooth = _chart(basis, state)
+    zero = np.zeros(basis.n)
+    options = {"gtol": D1_GTOL, "ftol": D1_FTOL, "maxcor": D1_MAXCOR}
     nfev = 0
 
     def search(theta0: np.ndarray):
-        nonlocal nfev
-        value, theta, spread, f0, calls = _nelder_mead(f, theta0, config)
-        nfev += calls
-        return value, float(np.linalg.norm(theta)), theta, spread, f0
+        best = []  # [value, U] of the lowest true value seen
 
-    (value, theta, spread), _, starts_run = _minimize(search, basis.n, config)
+        def call(theta: np.ndarray, U0: np.ndarray) -> _Point:
+            nonlocal nfev
+            p = at(theta, U0)
+            nfev += 1
+            if not best or p.value < best[0]:
+                best[:] = p.value, p.U
+            return p
+
+        origin = _recentred(call(zero, expi(expand(basis, 0.0, theta0))))
+        f0 = origin.value
+        mu = max(D1_MU0_SHARE * float(np.abs(origin.lam).mean()), D1_MU_FLOOR)
+        # The run's last three calls and its lowest smoothed one, by theta.  A
+        # line search whose trial steps fall below the resolution of theta
+        # asks for its base point again, and the run ends on one of these,
+        # which becomes the next origin; neither costs a new call.
+        trail: dict[bytes, _Point] = {}
+        lowest = [math.inf, b""]
+
+        def fun(theta: np.ndarray):
+            if not theta.any():
+                return smooth(origin, mu)
+            key = theta.tobytes()
+            p = trail.pop(key, None)
+            trail[key] = p if p is not None else call(theta, origin.U)
+            value, grad = smooth(trail[key], mu)
+            if value < lowest[0]:
+                lowest[:] = value, key
+            for old in list(trail)[:-3]:
+                if old != lowest[1]:
+                    del trail[old]
+            return value, grad
+
+        budget, runs, first, finished = config.max_iter, 0, True, False
+        while budget > 0:
+            trail.clear()
+            lowest[:] = math.inf, b""
+            res = minimize(fun, zero, jac=True, method="L-BFGS-B",
+                           options={**options, "maxiter": budget})
+            budget -= res.nit
+            residual = float(np.max(np.abs(res.jac)))
+            if first and res.nit == 0:
+                return best[0], f0, (best[1], residual, False, True)
+            first = False
+            if res.x.any():
+                p = trail.get(res.x.tobytes())
+                origin = _recentred(p if p is not None else call(res.x, origin.U))
+            runs += 1
+            if np.linalg.norm(res.x) < D1_STEP_TOL or runs == D1_RUNS_PER_LEVEL:
+                if mu == D1_MU_FLOOR:
+                    finished = True
+                    break
+                mu, runs = max(mu / 10.0, D1_MU_FLOOR), 0
+        return best[0], f0, (best[1], residual, finished, False)
+
+    (value, (U, residual, finished, flat)), _, starts_run, frame_constant = _minimize(
+        search, basis.n, config)
     return DiscordEstimate(
         value=float(value),
         method="numerical_min",
-        frame=frame_from_theta(basis, theta),
-        best_residual=spread,
-        converged=spread <= config.tol,
+        frame=frame_from_unitary(basis, phase_normalize(U)),
+        best_residual=residual,
+        converged=finished or (flat and frame_constant),
         nfev=nfev,
         starts_run=starts_run,
     )
@@ -647,9 +733,9 @@ def minimize_d2(state: TwoQuditState, config: OptimizerConfig | None = None) -> 
         U = expi(expand(basis, 0.0, theta0))
         value, f0, gain, sweeps = _jacobi_sweeps(blocks, U, pref2, total, config)
         nfev += sweeps
-        return value, 0.0, U, gain, f0
+        return value, f0, (U, gain)
 
-    (best, U, gain), values, starts_run = _minimize(search, basis.n, config)
+    (best, (U, gain)), values, starts_run, _ = _minimize(search, basis.n, config)
     U = phase_normalize(U)
     R = disturbance_in_frame(rho, U)
     agree = sum(value <= best + config.tol for value in values)

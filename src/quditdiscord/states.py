@@ -55,6 +55,8 @@ __all__ = [
 HERMITICITY_TOL = 1e-9
 TRACE_TOL = 1e-10
 EIGENVALUE_TOL = 1e-9
+# TwoQuditState.is_lmm: Bloch-vector entries below this count as zero.
+LMM_ATOL = 1e-10
 
 
 class UnphysicalStateError(ValueError):
@@ -95,7 +97,7 @@ class TwoQuditState:
     def is_lmm(self) -> bool:
         """Locally maximally mixed: both marginals are I/d."""
         return bool(
-            np.max(np.abs(self.x)) < 1e-10 and np.max(np.abs(self.y)) < 1e-10
+            np.max(np.abs(self.x)) < LMM_ATOL and np.max(np.abs(self.y)) < LMM_ATOL
         )
 
     def purity(self) -> float:

@@ -124,6 +124,10 @@ EXIT_CODE_TABLE = [
      "isotropic", 2, "tol"),
     ("pair-nan", ["scan", "--family", "pair:nan"], None, 2, "nan"),
     ("t-min-nan", ["scan", "--family", "werner", "--t-min", "nan"], None, 2, "--t-min"),
+    ("pair-text", ["scan", "--family", "pair:x"], None, 2,
+     "the pair parameter must be a number, got 'x'"),
+    ("line-text", ["scan", "--family", "line:a,b,c"], None, 2,
+     "a line parameter must be a number, got 'a'"),
     ("line-two-weights", ["scan", "--family", "line:1,2"], None, 2,
      "line: needs three comma-separated weights"),
     ("line-weights-off-one", ["scan", "--family", "line:0.1,0.1,0.1"], None, 2,

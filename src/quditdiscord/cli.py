@@ -9,6 +9,7 @@ output files.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -412,7 +413,9 @@ def cmd_verify(args) -> int:
     return 0 if failures == 0 else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="quditdiscord",
         description="Measurement-induced geometric discord toolkit for qudit pairs",
@@ -477,6 +480,9 @@ def main(argv=None) -> int:
         return 3
     except OutputError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print(f"error: out of memory running {args.command}", file=sys.stderr)
         return 2
 
 

@@ -75,7 +75,7 @@ class DiscordEstimate:
     For D1, ``nfev`` counts objective calls, each of which gives the value
     and the gradient; ``best_residual`` is the winning start's last gradient
     infinity-norm; ``converged`` means the winning start finished its
-    smoothing continuation within ``max_iter`` L-BFGS iterations, or ended
+    smoothing continuation within ``max_iter`` BFGS iterations, or ended
     flat while a second flat start agreed.  For D2 see :func:`minimize_d2`.
     """
 
@@ -369,11 +369,13 @@ def evaluate(state: TwoQuditState) -> Evaluation:
 D1_MU0_SHARE = 0.05
 # and is divided by 10 per level down to this floor, which is the last level.
 D1_MU_FLOOR = 1e-12
-# L-BFGS-B settings of every run: gradient and relative-decrease tolerances, and
-# the number of correction pairs kept.
+# _bfgs stops a run at this gradient infinity-norm, or when a step lowers (or its
+# line search can still lower) the value by at most D1_FTOL * max(|value|, 1).
 D1_GTOL = 1e-14
 D1_FTOL = 1e-16
-D1_MAXCOR = 30
+# _bfgs accepts a trial step that lowers the value by at least this share of the
+# decrease its directional derivative predicts (the Armijo test).
+D1_ARMIJO = 1e-4
 # A run whose step ||theta|| is below this ends its smoothing level,
 D1_STEP_TOL = 1e-6
 # and a level ends after this many runs in any case.
@@ -473,6 +475,59 @@ def _recentred(p: _Point) -> _Point:
     return p._replace(U0V=p.U, w=np.zeros(d), V=np.eye(d, dtype=complex))
 
 
+def _bfgs(fg, start, budget: int):
+    """Dense BFGS from theta = 0 (Nocedal & Wright, Numerical Optimization, Alg. 6.1).
+
+    ``fg(theta)`` returns (value, gradient, point) and ``start`` is that
+    triple at theta = 0, which is never asked for again.  Until the first
+    step with s.y > 0 a step runs along -g, starting at unit length; that
+    step seeds the inverse Hessian H as (s.y / y.y) I, and H takes the
+    BFGS update only on steps with s.y > 0, so it stays positive definite.
+    A trial step t along d is accepted when f(theta + t d) <= f + D1_ARMIJO
+    t g.d; otherwise t becomes the minimizer of the quadratic through f,
+    g.d and the trial value, clipped to [0.1 t, 0.5 t] (ibid., section 3.5).
+
+    The loop stops when the gradient infinity-norm is at most D1_GTOL, when
+    an accepted step lowers the value by at most D1_FTOL * max(|f|, 1), when
+    the line search fails (the decrease -t g.d predicts is at most that
+    bound, as it is at once for a d that is no descent direction), or after
+    ``budget`` iterations.  Returns the last accepted theta, its gradient,
+    the iterations made and its point.
+    """
+    f, g, p = start
+    theta = np.zeros(g.size)
+    H = None
+    nit = 0
+    while nit < budget and np.max(np.abs(g)) > D1_GTOL:
+        d = -g if H is None else -(H @ g)
+        slope = float(g @ d)
+        floor = D1_FTOL * max(abs(f), 1.0)
+        t = 1.0 / math.sqrt(-slope) if H is None else 1.0
+        while True:
+            if -t * slope <= floor:
+                return theta, g, nit, p
+            trial = theta + t * d
+            f_new, g_new, p_new = fg(trial)
+            if f_new <= f + D1_ARMIJO * t * slope:
+                break
+            t = min(max(-0.5 * slope * t * t / (f_new - f - slope * t), 0.1 * t), 0.5 * t)
+        s, y = trial - theta, g_new - g
+        sy = float(s @ y)
+        if sy > 0.0:
+            if H is None:
+                H = sy / float(y @ y) * np.eye(g.size)
+            Hy = H @ y
+            # H <- (I - s y^T / sy) H (I - y s^T / sy) + s s^T / sy, as u s^T + s u^T
+            u = ((0.5 + 0.5 * float(y @ Hy) / sy) * s - Hy) / sy
+            H += np.outer(u, s) + np.outer(s, u)
+        nit += 1
+        decrease = f - f_new
+        theta, f, g, p = trial, f_new, g_new, p_new
+        if decrease <= floor:
+            break
+    return theta, g, nit, p
+
+
 def _hermitian_blocks(rho: np.ndarray, d: int) -> np.ndarray:
     """rho's side-A blocks A_be[a, c] = rho[(a b), (c e)] as d^2 Hermitian matrices.
 
@@ -569,7 +624,7 @@ def _minimize(search, n: int, config: OptimizerConfig):
     TIE_WINDOW, so ties keep the earlier start.
 
     A start is flat when its search lowered the objective by at most tol;
-    for D1 that includes a start whose first L-BFGS run took no step.  Two
+    for D1 that includes a start whose first BFGS run took no step.  Two
     flat starts that agree within tol have seen no variation around two
     different frames, so the remaining starts are skipped: a frame-constant
     D1 objective costs 2 objective calls.  An objective that varies runs
@@ -598,21 +653,21 @@ def _minimize(search, n: int, config: OptimizerConfig):
 
 
 def minimize_d1(state: TwoQuditState, config: OptimizerConfig | None = None) -> DiscordEstimate:
-    """Multi-start smoothed L-BFGS minimization of the trace-norm objective.
+    """Multi-start smoothed BFGS minimization of the trace-norm objective.
 
     The D1 objective pref1 sum |lambda(R)| is smoothed to
     pref1 sum sqrt(lambda^2 + mu^2) (Nesterov 2005) and minimized by
-    scipy's L-BFGS-B with the exact gradient of :func:`_chart`, in the chart
+    :func:`_bfgs` with the exact gradient of :func:`_chart`, in the chart
     U = U0 exp(i <theta, g>) over all n generators.  Each start begins at its
     frame from :func:`_minimize` with mu = D1_MU0_SHARE * mean|lambda(R)|
-    there (at least D1_MU_FLOOR).  Each smoothing level runs L-BFGS-B from
-    theta = 0 up to D1_RUNS_PER_LEVEL times, moving U0 to the run's end
-    after each, until a run's step ||theta|| is below D1_STEP_TOL; then mu
-    is divided by 10, down to D1_MU_FLOOR, the last level.  A start whose
-    first run takes no step (its gradient is at most D1_GTOL at the start
-    frame, as for every frame of a Jordan-class state) ends after that one
-    call.  ``max_iter`` caps the L-BFGS iterations of a start, summed over
-    its levels and runs.
+    there (at least D1_MU_FLOOR).  Each smoothing level runs :func:`_bfgs`
+    from theta = 0 up to D1_RUNS_PER_LEVEL times, moving U0 to the run's
+    last accepted point after each, until a run's step ||theta|| is below
+    D1_STEP_TOL; then mu is divided by 10, down to D1_MU_FLOOR, the last
+    level.  A start whose first run takes no step (its gradient is at most
+    D1_GTOL at the start frame, as for every frame of a Jordan-class state)
+    ends after that one call.  ``max_iter`` caps the BFGS iterations of a
+    start, summed over its levels and runs.
 
     A start's result is the lowest true value pref1 sum |lambda| it saw, the
     start frame included, so the returned value is the objective at the
@@ -626,14 +681,9 @@ def minimize_d1(state: TwoQuditState, config: OptimizerConfig | None = None) -> 
     stationary, which a saddle is too.  Non-convergence is reported, never
     hidden by suppressing the value.
     """
-    # imported here so that importing the package does not pay for scipy.optimize
-    from scipy.optimize import minimize
-
     config = config or OptimizerConfig()
     basis = build_basis(state.d)
     at, smooth = _chart(basis, state)
-    zero = np.zeros(basis.n)
-    options = {"gtol": D1_GTOL, "ftol": D1_FTOL, "maxcor": D1_MAXCOR}
     nfev = 0
 
     def search(theta0: np.ndarray):
@@ -647,46 +697,25 @@ def minimize_d1(state: TwoQuditState, config: OptimizerConfig | None = None) -> 
                 best[:] = p.value, p.U
             return p
 
-        origin = _recentred(call(zero, expi(expand(basis, 0.0, theta0))))
+        origin = _recentred(call(np.zeros(basis.n), expi(expand(basis, 0.0, theta0))))
         f0 = origin.value
         mu = max(D1_MU0_SHARE * float(np.abs(origin.lam).mean()), D1_MU_FLOOR)
-        # The run's last three calls and its lowest smoothed one, by theta.  A
-        # line search whose trial steps fall below the resolution of theta
-        # asks for its base point again, and the run ends on one of these,
-        # which becomes the next origin; neither costs a new call.
-        trail: dict[bytes, _Point] = {}
-        lowest = [math.inf, b""]
 
-        def fun(theta: np.ndarray):
-            if not theta.any():
-                return smooth(origin, mu)
-            key = theta.tobytes()
-            p = trail.pop(key, None)
-            trail[key] = p if p is not None else call(theta, origin.U)
-            value, grad = smooth(trail[key], mu)
-            if value < lowest[0]:
-                lowest[:] = value, key
-            for old in list(trail)[:-3]:
-                if old != lowest[1]:
-                    del trail[old]
-            return value, grad
+        def fg(theta: np.ndarray):
+            p = call(theta, origin.U)
+            return (*smooth(p, mu), p)
 
         budget, runs, first, finished = config.max_iter, 0, True, False
         while budget > 0:
-            trail.clear()
-            lowest[:] = math.inf, b""
-            res = minimize(fun, zero, jac=True, method="L-BFGS-B",
-                           options={**options, "maxiter": budget})
-            budget -= res.nit
-            residual = float(np.max(np.abs(res.jac)))
-            if first and res.nit == 0:
+            theta, grad, nit, p = _bfgs(fg, (*smooth(origin, mu), origin), budget)
+            budget -= nit
+            residual = float(np.max(np.abs(grad)))
+            if first and nit == 0:
                 return best[0], f0, (best[1], residual, False, True)
             first = False
-            if res.x.any():
-                p = trail.get(res.x.tobytes())
-                origin = _recentred(p if p is not None else call(res.x, origin.U))
+            origin = _recentred(p)
             runs += 1
-            if np.linalg.norm(res.x) < D1_STEP_TOL or runs == D1_RUNS_PER_LEVEL:
+            if np.linalg.norm(theta) < D1_STEP_TOL or runs == D1_RUNS_PER_LEVEL:
                 if mu == D1_MU_FLOOR:
                     finished = True
                     break

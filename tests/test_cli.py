@@ -211,6 +211,47 @@ class TestExitCodes:
         )
         assert proc.stdout.strip() == "False False"
 
+    def test_numeric_run_leaves_out_scipy_optimize(self, tmp_path, basis3):
+        """The D1 search is the package's own loop, so a numeric run never loads scipy.optimize."""
+        path = tmp_path / "state.json"
+        st.write_state(st.from_density(basis3, generic_rho(3, np.random.default_rng(301))), path)
+        src = str(Path(quditdiscord.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        argv = ["discord", "--state", str(path), "--numeric", "--starts", "2", "--max-iter", "5"]
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from quditdiscord import cli; "
+             f"code = cli.main({argv!r}); "
+             "print(code, 'scipy.optimize' in sys.modules, 'scipy.linalg' in sys.modules)"],
+            capture_output=True, text=True, env=env, timeout=60, check=True,
+        )
+        assert proc.stdout.strip().splitlines()[-1] == "4 False True"  # capped: not converged
+
+    def test_out_of_memory_is_one_error_line(self, monkeypatch, capsys):
+        """A MemoryError ends the command with exit 2 and one line, not a traceback."""
+        def exhausted(d):
+            raise MemoryError
+
+        monkeypatch.setattr(la, "build_basis", exhausted)
+        assert run(["scan", "--family", "werner", "--d", "4", "--t-steps", "1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: out of memory running scan\n"
+
+    def test_parser_is_built_once_and_keeps_no_flags(self, tmp_path, capsys, basis3):
+        """One process, one parser: no flag of an earlier call reaches a later one."""
+        assert cli.build_parser() is cli.build_parser()
+        path = tmp_path / "state.json"
+        st.write_state(st.isotropic(basis3, 0.3), path)
+        assert run(["discord", "--state", str(path), "--numeric", "--starts", "1"]) == 4
+        assert "d1_numeric" in json.loads(capsys.readouterr().out)
+        assert run(["discord", "--state", str(path)]) == 0
+        assert "d1_numeric" not in json.loads(capsys.readouterr().out)
+        with pytest.raises(SystemExit) as exc:
+            run(["scan", "--format", "csv"])
+        assert exc.value.code == 2
+
 
 class TestNoPathPlanning:
     def test_analytic_commands_plan_no_einsum_path(self, tmp_path, monkeypatch, capsys):

@@ -413,7 +413,7 @@ class TestEvaluate:
         assert (ev.d2_exact, ev.d1_exact) == (d2_exact, d1_exact)
 
     def test_capped_minimizer_is_not_converged(self, basis3):
-        """Three L-BFGS iterations cannot finish a generic state's smoothing levels."""
+        """Three BFGS iterations cannot finish a generic state's smoothing levels."""
         est = dc.minimize_d1(_generic_state(basis3, 97),
                              dc.OptimizerConfig(starts=1, max_iter=3))
         assert est.converged is False
@@ -589,6 +589,55 @@ class TestObjective:
         assert est.nfev == calls > 0
 
 
+def _convex_quadratic(n, seed):
+    """fg of a seeded strictly convex quadratic, with its minimizer; the point is x itself."""
+    rng = np.random.default_rng(seed)
+    M = rng.standard_normal((n, n))
+    A = M @ M.T / n + np.eye(n)
+    xstar = rng.standard_normal(n)
+
+    def fg(x):
+        r = x - xstar
+        return 0.5 * float(r @ A @ r), A @ r, x.copy()
+
+    return fg, xstar
+
+
+class TestBfgs:
+    @pytest.mark.parametrize("n", [8, 35])
+    def test_reaches_the_minimizer_of_a_convex_quadratic(self, n):
+        fg, xstar = _convex_quadratic(n, [100, n])
+        budget = 10 * n
+        theta, grad, nit, point = dc._bfgs(fg, fg(np.zeros(n)), budget)
+        assert np.max(np.abs(theta - xstar)) <= 1e-8
+        assert nit < budget  # a stopping test ended it, not the budget
+        assert np.array_equal(point, theta)
+        assert np.array_equal(grad, fg(theta)[1])
+
+    @pytest.mark.parametrize("budget", [1, 2, 3, 5, 8])
+    def test_spends_at_most_its_budget_and_never_rises(self, basis3, budget):
+        """On a generic state's smoothed chart: nit <= budget, value <= f(0), unit first step."""
+        state = _generic_state(basis3, 97)
+        at, smooth = dc._chart(basis3, state)
+        U0 = la.random_special_unitary(3, 101)
+        origin = dc._recentred(at(np.zeros(basis3.n), U0))
+        mu = dc.D1_MU0_SHARE * float(np.mean(np.abs(origin.lam)))
+        trials = []
+
+        def fg(theta):
+            trials.append(theta)
+            p = at(theta, U0)
+            return (*smooth(p, mu), p)
+
+        start = (*smooth(origin, mu), origin)
+        theta, grad, nit, point = dc._bfgs(fg, start, budget)
+        assert nit == budget  # far from stationary: every iteration is spent
+        assert smooth(point, mu)[0] < start[0]
+        assert np.array_equal(grad, smooth(point, mu)[1])
+        assert any(np.array_equal(theta, trial) for trial in trials)
+        assert np.linalg.norm(trials[0]) == pytest.approx(1.0, rel=1e-12)
+
+
 class TestEarlyStop:
     @pytest.mark.parametrize("family", ["werner", "class_aa"])
     def test_frame_constant_objective_stops_after_two_starts(self, basis3, family):
@@ -613,7 +662,7 @@ class TestEarlyStop:
         """Two starts that end on their initial frame, one call each, give the closed form.
 
         Every frame of a Jordan-class state is stationary, so each start's first
-        L-BFGS run takes no step.
+        BFGS run takes no step.
         """
         basis = la.build_basis(d)
         if family == "werner":

@@ -3,10 +3,13 @@
 ``tests/data/d1_reference.json`` lists the ten seeded generic states of the
 D2 corpus plus one at d = 6, each stored as (generator, d, seed) and rebuilt
 by the plain-numpy generators of ``conftest.py``.  Each entry carries the D1
-values that the Nelder-Mead search over theta and the smoothed L-BFGS chart
-search found for the state.  The lower one is the reference, stored with the
-frame that reached it, so each reference is an upper bound on the discord
-that proves itself in one objective evaluation.
+values that two earlier searches found for the state: a Nelder-Mead search
+over theta (``nelder_mead``) and a smoothed quasi-Newton search in the
+recentred chart, run through scipy's limited-memory BFGS (``lbfgs``).  The
+lower one is the reference, stored with the frame that reached it, so each
+reference is an upper bound on the discord that proves itself in one
+objective evaluation.  The package's own dense BFGS must reach every
+reference within tol.
 """
 
 import json

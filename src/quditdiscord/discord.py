@@ -12,7 +12,7 @@ bounds or the multi-start numerical minimizer.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -27,7 +27,6 @@ from .lie_algebra import (
 )
 from .measurement import (
     MeasurementFrame,
-    disturbance_in_frame,
     frame_from_unitary,
     off_block_mask,
 )
@@ -72,20 +71,20 @@ PSD_ATOL = 1e-9
 class DiscordEstimate:
     """A discord value with its provenance and optimizer diagnostics.
 
-    For D1, ``nfev`` counts objective calls, each of which gives the value
-    and the gradient; ``best_residual`` is the winning start's last gradient
-    infinity-norm; ``converged`` means the winning start finished its
-    smoothing continuation within ``max_iter`` BFGS iterations, or ended
-    flat while a second flat start agreed.  For D2 see :func:`minimize_d2`.
+    For both measures ``nfev`` counts objective calls, each of which gives
+    the value and the gradient; ``best_residual`` is the winning start's
+    last gradient infinity-norm; ``converged`` means the winning start
+    finished its last level within ``max_iter`` BFGS iterations, or ended
+    flat while a second flat start agreed, and for D2 also that at least
+    two starts came within tol of the best value.
     """
 
     value: float
     method: str  # analytic | lower_bound | numerical_min
     frame: Optional[MeasurementFrame] = None
-    # D1: last gradient infinity-norm of the winning start; D2: its last sweep's gain
-    best_residual: float = 0.0
+    best_residual: float = 0.0  # last gradient infinity-norm of the winning start
     converged: bool = False  # see minimize_d1 / minimize_d2
-    nfev: int = 0  # D1: value+gradient calls over all starts run; D2: sweeps
+    nfev: int = 0  # value+gradient calls over all starts run
     starts_run: int = 0  # starts run before the multi-start stopped
 
 
@@ -370,64 +369,69 @@ D1_MU0_SHARE = 0.05
 # and is divided by 10 per level down to this floor, which is the last level.
 D1_MU_FLOOR = 1e-12
 # _bfgs stops a run at this gradient infinity-norm, or when a step lowers (or its
-# line search can still lower) the value by at most D1_FTOL * max(|value|, 1).
-D1_GTOL = 1e-14
-D1_FTOL = 1e-16
+# line search can still lower) the value by at most FTOL * max(|value|, 1).
+GTOL = 1e-14
+FTOL = 1e-16
 # _bfgs accepts a trial step that lowers the value by at least this share of the
 # decrease its directional derivative predicts (the Armijo test).
-D1_ARMIJO = 1e-4
-# A run whose step ||theta|| is below this ends its smoothing level,
-D1_STEP_TOL = 1e-6
+ARMIJO = 1e-4
+# A run whose step ||theta|| is below this ends its level,
+STEP_TOL = 1e-6
 # and a level ends after this many runs in any case.
-D1_RUNS_PER_LEVEL = 10
+RUNS_PER_LEVEL = 10
 # _minimize: start values within this of the best are ties, and ties keep the earlier start.
 TIE_WINDOW = 1e-12
 
 
 class _Point(NamedTuple):
-    """One call of the D1 chart at theta: what the value and the gradient need."""
+    """One call of the chart at theta: what the value and the gradient need."""
 
     U0V: np.ndarray  # U0 V, with U0 the chart's origin frame
     w: np.ndarray  # eigenvalues of <theta, g>
     V: np.ndarray  # its eigenvectors
     U: np.ndarray  # the frame U0 exp(i <theta, g>)
     KtR: np.ndarray  # (U x I)^+ rho
-    lam: np.ndarray  # eigenvalues of R = ((U x I)^+ rho (U x I)) o mask
-    Q: np.ndarray  # their eigenvectors
-    value: float  # the D1 objective pref1 sum |lam|
+    R: np.ndarray  # the disturbance R = ((U x I)^+ rho (U x I)) o mask
+    lam: Optional[np.ndarray]  # D1: eigenvalues of R
+    Q: Optional[np.ndarray]  # D1: their eigenvectors
+    value: float  # the objective: pref1 sum |lam| (D1) or pref2 ||R||_F^2 (D2)
 
 
-def _chart(basis: GellMannBasis, state: TwoQuditState):
-    """The D1 objective in the chart U = U0 exp(i <theta, g>): (at, smooth).
+def _chart(basis: GellMannBasis, state: TwoQuditState, measure: str):
+    """The D1 or D2 objective in the chart U = U0 exp(i <theta, g>): (at, smooth).
 
-    ``at(theta, U0)`` is one objective call.  It gets <theta, g> = V diag(w) V^+
-    from LAPACK's zheevd, U = U0 V diag(exp(iw)) V^+, K^+ rho and
-    R = (K^+ rho K) o mask with K = U x I, and the eigenpairs of R from a
-    second zheevd.  The trace norm is unitarily invariant, so the disturbance
-    is never rotated back and no frame is built.  A failed eigensolve, as for
-    a non-finite theta, raises np.linalg.LinAlgError.
+    ``measure`` is "d1" or "d2".  ``at(theta, U0)`` is one objective call.
+    It gets <theta, g> = V diag(w) V^+ from LAPACK's zheevd,
+    U = U0 V diag(exp(iw)) V^+, K^+ rho and R = (K^+ rho K) o mask with
+    K = U x I.  Both norms are unitarily invariant, so the disturbance is
+    never rotated back and no frame is built.  D2's value is pref2 ||R||_F^2;
+    D1 takes the eigenpairs of R from a second zheevd for pref1 sum |lambda|.
+    A failed eigensolve, as for a non-finite theta, raises
+    np.linalg.LinAlgError.
 
-    ``smooth(point, mu)`` reads, from those eigenpairs, the smoothed value
-    pref1 sum sqrt(lambda^2 + mu^2) and its gradient in theta.  With
-    W = Q diag(lambda / sqrt(lambda^2 + mu^2)) Q^+ the value changes by
-    2 pref1 Re tr(G dE) for E = exp(i <theta, g>), G = tr_B((W o mask) K^+ rho) U0,
-    and the Daleckii-Krein formula gives
+    ``smooth(point, mu)`` returns a value and its gradient in theta.  For D1
+    that is the smoothed value pref1 sum sqrt(lambda^2 + mu^2) with
+    W = (Q diag(lambda / sqrt(lambda^2 + mu^2)) Q^+) o mask; D2 is smooth
+    already, so it ignores mu and returns its value with W = 2R.  Either
+    value changes by 2 pref Re tr(G dE) for E = exp(i <theta, g>) and
+    G = tr_B(W K^+ rho) U0, and the Daleckii-Krein formula gives
     dE = V ((V^+ <dtheta, g> V) o Gamma) V^+ with
     Gamma_jk = (e^{iw_j} - e^{iw_k}) / (w_j - w_k) = i e^{i(w_j + w_k)/2} sinc((w_j - w_k)/2pi),
     which is i e^{iw_j} where w_j = w_k.  So the gradient is
-    2 pref1 Re <g_m, conj(V) ((V^+ G V)^T o Gamma) V^T> over the generators g_m.
+    2 pref Re <g_m, conj(V) ((V^+ G V)^T o Gamma) V^T> over the generators g_m.
     """
     # imported here so that importing the package does not pay for scipy.linalg
     from scipy.linalg.lapack import zheevd
 
     d = basis.d
     d2, d3 = d * d, d ** 3
-    flat = np.ascontiguousarray(basis.generators.reshape(basis.n, d2), dtype=complex)
+    flat = basis.flat
     # the g_m are Hermitian, so (flat_conj @ vec(Z))_m = tr(g_m Z)
     flat_conj = flat.conj()
     rho_rows = np.ascontiguousarray(state.rho, dtype=complex).reshape(d, d3)
     mask = off_block_mask(d)
-    pref1 = d / (2.0 * (d - 1))
+    d1 = measure == "d1"
+    pref = d / (2.0 * (d - 1)) if d1 else d / (d - 1.0)
 
     def at(theta: np.ndarray, U0: np.ndarray) -> _Point:
         w, V, info = zheevd((theta @ flat).reshape(d, d), compute_v=1)
@@ -440,14 +444,15 @@ def _chart(basis: GellMannBasis, state: TwoQuditState):
         # applied to rho and then to (K^+ rho)^+ = rho K
         KtR = (Ut @ rho_rows).reshape(d2, d2)
         R = (Ut @ KtR.conj().T.reshape(d, d3)).reshape(d2, d2) * mask
+        if not d1:
+            return _Point(U0V, w, V, U, KtR, R, None, None, pref * float(np.vdot(R, R).real))
         lam, Q, info = zheevd(R, compute_v=1)
         if info:
             raise np.linalg.LinAlgError(f"zheevd failed on the disturbance (info={info})")
-        return _Point(U0V, w, V, U, KtR, lam, Q, pref1 * float(np.abs(lam).sum()))
+        return _Point(U0V, w, V, U, KtR, R, lam, Q, pref * float(np.abs(lam).sum()))
 
-    def smooth(p: _Point, mu: float) -> tuple[float, np.ndarray]:
-        s = np.sqrt(p.lam * p.lam + mu * mu)
-        W = ((p.Q * (p.lam / s)) @ p.Q.conj().T) * mask
+    def gradient(p: _Point, W: np.ndarray) -> np.ndarray:
+        # W is zero on the diagonal A-blocks, as R is;
         # tr_B(W K^+ rho)[a, c] = sum_{b, k} W[(a b), k] KtR[k, (c b)]
         X = W.reshape(d, d3) @ p.KtR.reshape(d2, d, d).transpose(2, 0, 1).reshape(d3, d)
         Vh = p.V.conj().T
@@ -457,14 +462,20 @@ def _chart(basis: GellMannBasis, state: TwoQuditState):
         # Gamma is symmetric, so <g_m, conj(V) (A^T o Gamma) V^T> = i tr(g_m Z) with
         # Z = V (A o Gamma / i) V^+, A = V^+ G V, and Re(i z) = -Im(z)
         Z = p.V @ ((Vh @ X @ p.U0V) * (half[:, None] * half[None, :] * sinc)) @ Vh
-        return pref1 * float(s.sum()), -2.0 * pref1 * (flat_conj @ Z.ravel()).imag
+        return -2.0 * pref * (flat_conj @ Z.ravel()).imag
+
+    def smooth(p: _Point, mu: Optional[float]) -> tuple[float, np.ndarray]:
+        if not d1:
+            return p.value, gradient(p, 2.0 * p.R)
+        s = np.sqrt(p.lam * p.lam + mu * mu)
+        return pref * float(s.sum()), gradient(p, ((p.Q * (p.lam / s)) @ p.Q.conj().T) * mask)
 
     return at, smooth
 
 
-def _objective(basis: GellMannBasis, state: TwoQuditState):
-    """The D1 objective as a function of theta alone, at the frame exp(i <theta, g>)."""
-    at, _ = _chart(basis, state)
+def _objective(basis: GellMannBasis, state: TwoQuditState, measure: str):
+    """The D1 or D2 objective as a function of theta alone, at the frame exp(i <theta, g>)."""
+    at, _ = _chart(basis, state, measure)
     eye = np.eye(basis.d, dtype=complex)
     return lambda theta: at(np.asarray(theta, dtype=float), eye).value
 
@@ -483,12 +494,12 @@ def _bfgs(fg, start, budget: int):
     step with s.y > 0 a step runs along -g, starting at unit length; that
     step seeds the inverse Hessian H as (s.y / y.y) I, and H takes the
     BFGS update only on steps with s.y > 0, so it stays positive definite.
-    A trial step t along d is accepted when f(theta + t d) <= f + D1_ARMIJO
+    A trial step t along d is accepted when f(theta + t d) <= f + ARMIJO
     t g.d; otherwise t becomes the minimizer of the quadratic through f,
     g.d and the trial value, clipped to [0.1 t, 0.5 t] (ibid., section 3.5).
 
-    The loop stops when the gradient infinity-norm is at most D1_GTOL, when
-    an accepted step lowers the value by at most D1_FTOL * max(|f|, 1), when
+    The loop stops when the gradient infinity-norm is at most GTOL, when
+    an accepted step lowers the value by at most FTOL * max(|f|, 1), when
     the line search fails (the decrease -t g.d predicts is at most that
     bound, as it is at once for a d that is no descent direction), or after
     ``budget`` iterations.  Returns the last accepted theta, its gradient,
@@ -498,17 +509,17 @@ def _bfgs(fg, start, budget: int):
     theta = np.zeros(g.size)
     H = None
     nit = 0
-    while nit < budget and np.max(np.abs(g)) > D1_GTOL:
+    while nit < budget and np.max(np.abs(g)) > GTOL:
         d = -g if H is None else -(H @ g)
         slope = float(g @ d)
-        floor = D1_FTOL * max(abs(f), 1.0)
+        floor = FTOL * max(abs(f), 1.0)
         t = 1.0 / math.sqrt(-slope) if H is None else 1.0
         while True:
             if -t * slope <= floor:
                 return theta, g, nit, p
             trial = theta + t * d
             f_new, g_new, p_new = fg(trial)
-            if f_new <= f + D1_ARMIJO * t * slope:
+            if f_new <= f + ARMIJO * t * slope:
                 break
             t = min(max(-0.5 * slope * t * t / (f_new - f - slope * t), 0.1 * t), 0.5 * t)
         s, y = trial - theta, g_new - g
@@ -528,92 +539,6 @@ def _bfgs(fg, start, budget: int):
     return theta, g, nit, p
 
 
-def _hermitian_blocks(rho: np.ndarray, d: int) -> np.ndarray:
-    """rho's side-A blocks A_be[a, c] = rho[(a b), (c e)] as d^2 Hermitian matrices.
-
-    A_eb = A_be^+, so the pair (b, e), b < e, is carried by the Hermitian
-    parts (A_be + A_eb)/2 and (A_be - A_eb)/2i with weight 2; scaling both
-    by sqrt(2) puts that weight into the matrices.  Then, for every U, the
-    squared diagonals of U^+ H U summed over the stack equal those of
-    U^+ A_be U summed over all (b, e).
-    """
-    A = rho.reshape(d, d, d, d).transpose(1, 3, 0, 2)  # A[b, e] is the block A_be
-    b, e = np.triu_indices(d, 1)
-    r = math.sqrt(0.5)
-    diag = np.arange(d)
-    return np.concatenate([A[diag, diag], r * (A[b, e] + A[e, b]),
-                           -1j * r * (A[b, e] - A[e, b])])
-
-
-def _diagonal_mass(H: np.ndarray) -> float:
-    """Sum over the stack of the squared diagonal entries."""
-    diag = np.einsum("mkk->mk", H).real
-    return float(np.sum(diag * diag))
-
-
-# a pair's gain at most this share of tr G is rounding, not a rotation
-_ROTATION_EPS = 1e-12
-
-
-def _jacobi_sweeps(blocks: np.ndarray, U: np.ndarray, pref2: float, total: float,
-                   config: OptimizerConfig):
-    """One start of Jacobi joint diagonalization (Cardoso & Souloumiac, 1996).
-
-    Works on H = U^+ B U for the stack B of :func:`_hermitian_blocks`, where
-    the D2 objective is pref2 (total - diagonal mass of H); U is rotated in
-    place.  Each rotation of the pair (p, q) maximizes the pair's diagonal
-    mass in closed form: with h = [H_pp - H_qq, 2 Re H_pq, 2 Im H_pq] per
-    matrix, the top eigenvector [x, y, z] (x >= 0) of G = sum h h^T gives
-    c = sqrt((1 + x)/2) and s = (y - iz)/(2c), and it raises the mass by
-    (lambda_max - G_00)/2.  A rotation whose gain is lost in the rounding of
-    G is not made, so a frame-constant objective (G proportional to I)
-    makes no rotation.
-
-    A start ends after a sweep without rotation (its gain is exactly 0) or
-    after max_iter sweeps.  Convergence is often only linear, so a small
-    gain alone does not end it: the sweep must gain at most tol and, with
-    r = gain / previous gain < 1 (r = 0 on the first sweep), so must the
-    geometric remainder gain r / (1 - r) that the following sweeps would
-    add at that rate.
-    Returns (value, value at the start, last sweep's gain, sweeps run).
-    """
-    d = U.shape[0]
-    H = U.conj().T @ blocks @ U
-    f0 = value = pref2 * (total - _diagonal_mass(H))
-    previous = math.inf
-    for sweeps in range(1, config.max_iter + 1):
-        for p in range(d - 1):
-            for q in range(p + 1, d):
-                off = H[:, p, q]
-                h = np.stack([H[:, p, p].real - H[:, q, q].real, 2.0 * off.real,
-                              2.0 * off.imag])
-                G = h @ h.T
-                w, V = np.linalg.eigh(G)
-                if w[2] - G[0, 0] <= _ROTATION_EPS * G.trace():
-                    continue
-                x, y, z = V[:, 2] if V[0, 2] >= 0.0 else -V[:, 2]
-                c = math.sqrt((1.0 + x) / 2.0)
-                s = complex(y, -z) / (2.0 * c)
-                # U <- U J with J = [[c, -conj(s)], [s, c]] on (p, q); H <- J^+ H J
-                for M in (U, H):
-                    col_p, col_q = M[..., :, p].copy(), M[..., :, q].copy()
-                    M[..., :, p] = c * col_p + s * col_q
-                    M[..., :, q] = c * col_q - s.conjugate() * col_p
-                row_p, row_q = H[:, p, :].copy(), H[:, q, :].copy()
-                H[:, p, :] = c * row_p + s.conjugate() * row_q
-                H[:, q, :] = c * row_q - s * row_p
-        new = pref2 * (total - _diagonal_mass(H))
-        gain, value = value - new, new
-        if gain == 0.0:
-            break
-        if gain <= config.tol:
-            r = gain / previous
-            if r < 1.0 and gain * r / (1.0 - r) <= config.tol:
-                break
-        previous = gain
-    return value, f0, gain, sweeps
-
-
 def _minimize(search, n: int, config: OptimizerConfig):
     """Seeded multi-start loop; stops early once the objective is frame-constant.
 
@@ -623,13 +548,13 @@ def _minimize(search, n: int, config: OptimizerConfig):
     start, result).  A value wins only if it is below the best by more than
     TIE_WINDOW, so ties keep the earlier start.
 
-    A start is flat when its search lowered the objective by at most tol;
-    for D1 that includes a start whose first BFGS run took no step.  Two
-    flat starts that agree within tol have seen no variation around two
+    A start is flat when its search lowered the objective by at most tol,
+    which includes a start whose first BFGS run took no step.  Two flat
+    starts that agree within tol have seen no variation around two
     different frames, so the remaining starts are skipped: a frame-constant
-    D1 objective costs 2 objective calls.  An objective that varies runs
-    every start, and tol = 0 never stops early.  Returns (value, result) of
-    the winning start, the values every start reached, the number of starts
+    objective costs 2 objective calls.  An objective that varies runs every
+    start, and tol = 0 never stops early.  Returns (value, result) of the
+    winning start, the values every start reached, the number of starts
     run, and whether two flat starts agreed.
     """
     best = None  # (value, result)
@@ -652,38 +577,31 @@ def _minimize(search, n: int, config: OptimizerConfig):
     return best, values, s + 1, False
 
 
-def minimize_d1(state: TwoQuditState, config: OptimizerConfig | None = None) -> DiscordEstimate:
-    """Multi-start smoothed BFGS minimization of the trace-norm objective.
+def _minimize_in_chart(state: TwoQuditState, config: OptimizerConfig, measure: str):
+    """Multi-start BFGS of the D1 or D2 objective of :func:`_chart`.
 
-    The D1 objective pref1 sum |lambda(R)| is smoothed to
-    pref1 sum sqrt(lambda^2 + mu^2) (Nesterov 2005) and minimized by
-    :func:`_bfgs` with the exact gradient of :func:`_chart`, in the chart
-    U = U0 exp(i <theta, g>) over all n generators.  Each start begins at its
-    frame from :func:`_minimize` with mu = D1_MU0_SHARE * mean|lambda(R)|
-    there (at least D1_MU_FLOOR).  Each smoothing level runs :func:`_bfgs`
-    from theta = 0 up to D1_RUNS_PER_LEVEL times, moving U0 to the run's
-    last accepted point after each, until a run's step ||theta|| is below
-    D1_STEP_TOL; then mu is divided by 10, down to D1_MU_FLOOR, the last
-    level.  A start whose first run takes no step (its gradient is at most
-    D1_GTOL at the start frame, as for every frame of a Jordan-class state)
-    ends after that one call.  ``max_iter`` caps the BFGS iterations of a
-    start, summed over its levels and runs.
+    Each start begins at its frame from :func:`_minimize`.  D1 runs levels
+    of smoothing: the first has mu = D1_MU0_SHARE * mean|lambda(R)| at the
+    start frame (at least D1_MU_FLOOR), and each later one a tenth of the
+    last, down to D1_MU_FLOOR, the last level.  D2 needs no smoothing and
+    runs one level.  A level runs :func:`_bfgs` from theta = 0 up to
+    RUNS_PER_LEVEL times, moving U0 to the run's last accepted point after
+    each, until a run's step ||theta|| is below STEP_TOL.  A start whose
+    first run takes no step (its gradient is at most GTOL at the start
+    frame, as for every frame of a Jordan-class state) ends after that one
+    call.  ``max_iter`` caps the BFGS iterations of a start, summed over
+    its levels and runs.
 
-    A start's result is the lowest true value pref1 sum |lambda| it saw, the
-    start frame included, so the returned value is the objective at the
-    returned frame: an upper bound on the discord that equals it when the
-    search converges globally, deterministic for a fixed seed.  ``nfev``
-    counts objective calls (each gives value and gradient);
-    ``best_residual`` is the winning start's last gradient infinity-norm;
-    ``converged`` means the winning start finished its last level within
-    max_iter, or ended flat while :func:`_minimize` found a second flat
-    start that agreed.  A flat start alone is not converged: its frame is
-    stationary, which a saddle is too.  Non-convergence is reported, never
-    hidden by suppressing the value.
+    A start's result is the lowest true objective it saw, the start frame
+    included, so the returned value is the objective at the returned frame.
+    ``nfev`` counts objective calls, ``best_residual`` is the winning
+    start's last gradient infinity-norm, and ``converged`` means the winning
+    start finished its last level within max_iter, or ended flat while
+    :func:`_minimize` found a second flat start that agreed.  Returns that
+    estimate and the values every start reached.
     """
-    config = config or OptimizerConfig()
     basis = build_basis(state.d)
-    at, smooth = _chart(basis, state)
+    at, smooth = _chart(basis, state, measure)
     nfev = 0
 
     def search(theta0: np.ndarray):
@@ -699,7 +617,9 @@ def minimize_d1(state: TwoQuditState, config: OptimizerConfig | None = None) -> 
 
         origin = _recentred(call(np.zeros(basis.n), expi(expand(basis, 0.0, theta0))))
         f0 = origin.value
-        mu = max(D1_MU0_SHARE * float(np.abs(origin.lam).mean()), D1_MU_FLOOR)
+        mu = None
+        if measure == "d1":
+            mu = max(D1_MU0_SHARE * float(np.abs(origin.lam).mean()), D1_MU_FLOOR)
 
         def fg(theta: np.ndarray):
             p = call(theta, origin.U)
@@ -715,16 +635,16 @@ def minimize_d1(state: TwoQuditState, config: OptimizerConfig | None = None) -> 
             first = False
             origin = _recentred(p)
             runs += 1
-            if np.linalg.norm(theta) < D1_STEP_TOL or runs == D1_RUNS_PER_LEVEL:
-                if mu == D1_MU_FLOOR:
+            if np.linalg.norm(theta) < STEP_TOL or runs == RUNS_PER_LEVEL:
+                if mu is None or mu == D1_MU_FLOOR:
                     finished = True
                     break
                 mu, runs = max(mu / 10.0, D1_MU_FLOOR), 0
         return best[0], f0, (best[1], residual, finished, False)
 
-    (value, (U, residual, finished, flat)), _, starts_run, frame_constant = _minimize(
+    (value, (U, residual, finished, flat)), values, starts_run, frame_constant = _minimize(
         search, basis.n, config)
-    return DiscordEstimate(
+    estimate = DiscordEstimate(
         value=float(value),
         method="numerical_min",
         frame=frame_from_unitary(basis, phase_normalize(U)),
@@ -733,47 +653,43 @@ def minimize_d1(state: TwoQuditState, config: OptimizerConfig | None = None) -> 
         nfev=nfev,
         starts_run=starts_run,
     )
+    return estimate, values
+
+
+def minimize_d1(state: TwoQuditState, config: OptimizerConfig | None = None) -> DiscordEstimate:
+    """Multi-start smoothed BFGS minimization of the trace-norm objective.
+
+    The D1 objective pref1 sum |lambda(R)| is smoothed to
+    pref1 sum sqrt(lambda^2 + mu^2) (Nesterov 2005) and minimized by
+    :func:`_minimize_in_chart` with the exact gradient of :func:`_chart`, in
+    the chart U = U0 exp(i <theta, g>) over all n generators, through
+    smoothing levels from mu = D1_MU0_SHARE * mean|lambda(R)| down to
+    D1_MU_FLOOR.  The value is the lowest true objective seen, at the
+    returned frame: an upper bound on the discord that equals it when the
+    search converges globally, deterministic for a fixed seed.  ``nfev``
+    counts objective calls (each gives value and gradient);
+    ``best_residual`` is the winning start's last gradient infinity-norm;
+    ``converged`` means the winning start finished its last level within
+    max_iter, or ended flat while a second flat start agreed.  A flat start
+    alone is not converged: its frame is stationary, which a saddle is too.
+    Non-convergence is reported, never hidden by suppressing the value.
+    """
+    return _minimize_in_chart(state, config or OptimizerConfig(), "d1")[0]
 
 
 def minimize_d2(state: TwoQuditState, config: OptimizerConfig | None = None) -> DiscordEstimate:
-    """Multi-start Jacobi joint diagonalization of the Hilbert-Schmidt objective.
+    """Multi-start BFGS minimization of the Hilbert-Schmidt objective.
 
-    Pinching is a Frobenius-orthogonal projection, so the objective at the
-    frame U is pref2 (||rho||_F^2 - sum_be sum_a |<u_a|A_be|u_a>|^2) with
-    A_be the side-A blocks of rho: minimizing it jointly diagonalizes the
-    blocks.  Each start runs :func:`_jacobi_sweeps` from the start frame of
-    :func:`_minimize`, and ties keep the earlier start.  The value is the
-    objective at the returned frame.  ``converged`` means the winning start's
-    last sweep lowered the objective by at most tol (``best_residual``) and
-    at least two starts came within tol of the best value, so one start
-    never counts as converged.  ``nfev`` counts sweeps.
+    The D2 objective pref2 ||R||_F^2 is smooth, so :func:`_minimize_in_chart`
+    runs it in one level, with the engine and the reporting of
+    :func:`minimize_d1`: the value is the lowest objective seen, at the
+    returned frame; ``nfev`` counts objective calls; ``best_residual`` is the
+    winning start's last gradient infinity-norm.  ``converged`` also needs
+    at least two starts within tol of the best value, so one start never
+    counts as converged; U = I is a stationary frame of some states (the
+    Bell-diagonal pairs), where a lone start ends flat above the minimum.
     """
     config = config or OptimizerConfig()
-    d = state.d
-    basis = build_basis(d)
-    pref2 = d / (d - 1.0)
-    rho = state.rho
-    blocks = _hermitian_blocks(rho, d)
-    total = float(np.vdot(rho, rho).real)
-    nfev = 0
-
-    def search(theta0: np.ndarray):
-        nonlocal nfev
-        U = expi(expand(basis, 0.0, theta0))
-        value, f0, gain, sweeps = _jacobi_sweeps(blocks, U, pref2, total, config)
-        nfev += sweeps
-        return value, f0, (U, gain)
-
-    (best, (U, gain)), values, starts_run, _ = _minimize(search, basis.n, config)
-    U = phase_normalize(U)
-    R = disturbance_in_frame(rho, U)
-    agree = sum(value <= best + config.tol for value in values)
-    return DiscordEstimate(
-        value=pref2 * float(np.vdot(R, R).real),
-        method="numerical_min",
-        frame=frame_from_unitary(basis, U),
-        best_residual=float(gain),
-        converged=bool(gain <= config.tol and agree >= 2),
-        nfev=nfev,
-        starts_run=starts_run,
-    )
+    estimate, values = _minimize_in_chart(state, config, "d2")
+    agree = sum(value <= estimate.value + config.tol for value in values)
+    return replace(estimate, converged=estimate.converged and agree >= 2)

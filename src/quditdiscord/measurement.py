@@ -5,14 +5,13 @@ and the real projector M = I - V P0 V^T (rank d(d-1), V = R(U) the adjoint
 rotation) onto the coefficient directions the measurement removes.  The
 disturbance of a state under the one-sided measurement is
 S = rho - (Phi x id)(rho), and Q = S S^+ drives both discord measures.  The
-minimizers evaluate S in the measured basis, where it is
+functions here build S and Q from a frame and serve as the oracles of the
+minimizers, which evaluate S in the measured basis, where it is
 R = (K^+ rho K) o mask with K = U x I and mask the 0/1 pattern of the
-off-diagonal A-blocks (:func:`rotate_and_pinch`); R has the spectrum of S.
+off-diagonal A-blocks (:func:`off_block_mask`); R has the spectrum of S.
 """
 
 from __future__ import annotations
-
-import functools
 
 import numpy as np
 
@@ -36,9 +35,7 @@ __all__ = [
     "apply_measurement",
     "disturbance",
     "disturbance_from_vectors",
-    "disturbance_in_frame",
     "off_block_mask",
-    "rotate_and_pinch",
     "q_matrix",
     "q_expansion",
     "q_orthogonal",
@@ -146,45 +143,6 @@ def off_block_mask(d: int) -> np.ndarray:
     idx = np.arange(d)
     mask[idx, :, idx, :] = 0.0
     return mask.reshape(d * d, d * d)
-
-
-@functools.lru_cache(maxsize=None)
-def _identity(d: int) -> np.ndarray:
-    """The read-only (d, d) identity, built once per d."""
-    eye = np.eye(d)
-    eye.flags.writeable = False
-    return eye
-
-
-def rotate_and_pinch(rho: np.ndarray, U: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """R = (K^+ rho K) o mask with K = U x I, on a dense rho and a (d, d) U.
-
-    K is built by broadcasting U against the identity cached per d; nothing
-    is validated, so callers check shapes once (see
-    :func:`disturbance_in_frame`) and pass the mask of :func:`off_block_mask`.
-    """
-    d = U.shape[0]
-    K = (U[:, None, :, None] * _identity(d)[None, :, None, :]).reshape(d * d, d * d)
-    return (K.conj().T @ rho @ K) * mask
-
-
-def disturbance_in_frame(state, U: np.ndarray) -> np.ndarray:
-    """The disturbance seen from the measured basis: (U^+ x I) S (U x I).
-
-    Rotating by U^+ x I takes the measured projectors to |k><k|, so this is
-    R = (U^+ x I) rho (U x I) with its diagonal A-blocks R[(k.),(k.)] set
-    to zero (:func:`rotate_and_pinch`).  It has the spectrum of
-    S = rho - (Phi_U x id)(rho), hence the same trace and Frobenius norms,
-    and needs no adjoint rotation; U is taken as given, not checked for
-    unitarity.
-    """
-    U = np.asarray(U, dtype=complex)
-    d = U.shape[0]
-    rho = density_matrix(state)
-    if U.shape != (d, d) or rho.shape != (d * d, d * d):
-        raise ValueError(f"need a {d*d}x{d*d} state and a square unitary, "
-                         f"got {rho.shape} and {U.shape}")
-    return rotate_and_pinch(rho, U, off_block_mask(d))
 
 
 def q_matrix(S: np.ndarray) -> np.ndarray:

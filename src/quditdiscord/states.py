@@ -118,8 +118,12 @@ def assemble(
     Physicality is not enforced here; callers validate.
     """
     d, n = basis.d, basis.n
-    x = np.asarray(x, dtype=float).reshape(n)
-    y = np.asarray(y, dtype=float).reshape(n)
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    for name, vector in (("x", x), ("y", y)):
+        if vector.size != n:
+            raise ValueError(f"Bloch vector {name} must have length {n}, got {vector.size}")
+    x, y = x.reshape(n), y.reshape(n)
     K = np.asarray(K, dtype=float)
     if K.shape != (n, n):
         raise ValueError(f"correlation matrix must be {n}x{n}, got {K.shape}")

@@ -112,6 +112,8 @@ EXIT_CODE_TABLE = [
      "'d' must be an integer"),
     ("x-object", ["discord", "--state", "{state}"], {**ZERO_STATE, "x": {"a": 1}}, 2,
      "'x' must be an array of numbers"),
+    ("x-wrong-length", ["discord", "--state", "{state}"], {**ZERO_STATE, "x": [0.0, 0.0]}, 2,
+     "Bloch vector x must have length 8, got 2"),
     ("unphysical-state", ["discord", "--state", "{state}"],
      {**ZERO_STATE, "K": (2.5 * np.eye(8)).tolist()}, 3, "unphysical state"),
     ("tol-0-nonconvergence", ["discord", "--state", "{state}", *NUMERIC, "--tol", "0"],

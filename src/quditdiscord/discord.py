@@ -71,12 +71,13 @@ PSD_ATOL = 1e-9
 class DiscordEstimate:
     """A discord value with its provenance and optimizer diagnostics.
 
-    For both measures ``nfev`` counts objective calls, each of which gives
-    the value and the gradient; ``best_residual`` is the winning start's
-    last gradient infinity-norm; ``converged`` means the winning start
-    finished its last level within ``max_iter`` BFGS iterations, or ended
-    flat while a second flat start agreed, and for D2 also that at least
-    two starts came within tol of the best value.
+    For both measures ``nfev`` counts objective calls, rejected line-search
+    trials included, though only accepted points take a gradient;
+    ``best_residual`` is the winning start's last gradient infinity-norm;
+    ``converged`` means the winning start ended its last level by a
+    stopping test within ``max_iter`` BFGS iterations, or ended flat while
+    another start came within tol of its value, and for D2 also that at
+    least two starts came within tol of the best value.
     """
 
     value: float
@@ -84,7 +85,7 @@ class DiscordEstimate:
     frame: Optional[MeasurementFrame] = None
     best_residual: float = 0.0  # last gradient infinity-norm of the winning start
     converged: bool = False  # see minimize_d1 / minimize_d2
-    nfev: int = 0  # value+gradient calls over all starts run
+    nfev: int = 0  # objective calls over all starts run
     starts_run: int = 0  # starts run before the multi-start stopped
 
 
@@ -368,27 +369,20 @@ def evaluate(state: TwoQuditState) -> Evaluation:
 D1_MU0_SHARE = 0.05
 # and is divided by 10 per level down to this floor, which is the last level.
 D1_MU_FLOOR = 1e-12
-# _bfgs stops a run at this gradient infinity-norm, or when a step lowers (or its
+# _bfgs stops at this gradient infinity-norm, or when a step lowers (or its
 # line search can still lower) the value by at most FTOL * max(|value|, 1).
 GTOL = 1e-14
 FTOL = 1e-16
 # _bfgs accepts a trial step that lowers the value by at least this share of the
 # decrease its directional derivative predicts (the Armijo test).
 ARMIJO = 1e-4
-# A run whose step ||theta|| is below this ends its level,
-STEP_TOL = 1e-6
-# and a level ends after this many runs in any case.
-RUNS_PER_LEVEL = 10
 # _minimize: start values within this of the best are ties, and ties keep the earlier start.
 TIE_WINDOW = 1e-12
 
 
 class _Point(NamedTuple):
-    """One call of the chart at theta: what the value and the gradient need."""
+    """One call of the chart: what the value and the gradient at its frame need."""
 
-    U0V: np.ndarray  # U0 V, with U0 the chart's origin frame
-    w: np.ndarray  # eigenvalues of <theta, g>
-    V: np.ndarray  # its eigenvectors
     U: np.ndarray  # the frame U0 exp(i <theta, g>)
     KtR: np.ndarray  # (U x I)^+ rho
     R: np.ndarray  # the disturbance R = ((U x I)^+ rho (U x I)) o mask
@@ -398,7 +392,7 @@ class _Point(NamedTuple):
 
 
 def _chart(basis: GellMannBasis, state: TwoQuditState, measure: str):
-    """The D1 or D2 objective in the chart U = U0 exp(i <theta, g>): (at, smooth).
+    """The D1 or D2 objective in the chart U = U0 exp(i <theta, g>): (at, smoothed, gradient).
 
     ``measure`` is "d1" or "d2".  ``at(theta, U0)`` is one objective call.
     It gets <theta, g> = V diag(w) V^+ from LAPACK's zheevd,
@@ -409,16 +403,13 @@ def _chart(basis: GellMannBasis, state: TwoQuditState, measure: str):
     A failed eigensolve, as for a non-finite theta, raises
     np.linalg.LinAlgError.
 
-    ``smooth(point, mu)`` returns a value and its gradient in theta.  For D1
-    that is the smoothed value pref1 sum sqrt(lambda^2 + mu^2) with
-    W = (Q diag(lambda / sqrt(lambda^2 + mu^2)) Q^+) o mask; D2 is smooth
-    already, so it ignores mu and returns its value with W = 2R.  Either
-    value changes by 2 pref Re tr(G dE) for E = exp(i <theta, g>) and
-    G = tr_B(W K^+ rho) U0, and the Daleckii-Krein formula gives
-    dE = V ((V^+ <dtheta, g> V) o Gamma) V^+ with
-    Gamma_jk = (e^{iw_j} - e^{iw_k}) / (w_j - w_k) = i e^{i(w_j + w_k)/2} sinc((w_j - w_k)/2pi),
-    which is i e^{iw_j} where w_j = w_k.  So the gradient is
-    2 pref Re <g_m, conj(V) ((V^+ G V)^T o Gamma) V^T> over the generators g_m.
+    ``smoothed(point, mu)`` is D1's smoothed value pref1 sum
+    sqrt(lambda^2 + mu^2); D2 is smooth already, so it ignores mu and gives
+    the value.  ``gradient(point, mu)`` is the gradient of that value in the
+    chart whose origin is the point's own frame, at theta = 0.  There
+    d exp = i <dtheta, g>, so the value changes by 2 pref Re tr(X U i <dtheta, g>)
+    with X = tr_B(W K^+ rho), and the gradient is -2 pref Im tr(g_m X U).
+    D1 has W = (Q diag(lambda / sqrt(lambda^2 + mu^2)) Q^+) o mask, D2 W = 2R.
     """
     # imported here so that importing the package does not pay for scipy.linalg
     from scipy.linalg.lapack import zheevd
@@ -437,77 +428,69 @@ def _chart(basis: GellMannBasis, state: TwoQuditState, measure: str):
         w, V, info = zheevd((theta @ flat).reshape(d, d), compute_v=1)
         if info:
             raise np.linalg.LinAlgError(f"zheevd failed on <theta, g> (info={info})")
-        U0V = U0 @ V
-        U = (U0V * np.exp(1j * w)) @ V.conj().T
+        U = ((U0 @ V) * np.exp(1j * w)) @ V.conj().T
         Ut = U.conj().T
         # (U^+ x I) X mixes the row blocks of X: one (d, d) by (d, d^3) product,
         # applied to rho and then to (K^+ rho)^+ = rho K
         KtR = (Ut @ rho_rows).reshape(d2, d2)
         R = (Ut @ KtR.conj().T.reshape(d, d3)).reshape(d2, d2) * mask
         if not d1:
-            return _Point(U0V, w, V, U, KtR, R, None, None, pref * float(np.vdot(R, R).real))
+            return _Point(U, KtR, R, None, None, pref * float(np.vdot(R, R).real))
         lam, Q, info = zheevd(R, compute_v=1)
         if info:
             raise np.linalg.LinAlgError(f"zheevd failed on the disturbance (info={info})")
-        return _Point(U0V, w, V, U, KtR, R, lam, Q, pref * float(np.abs(lam).sum()))
+        return _Point(U, KtR, R, lam, Q, pref * float(np.abs(lam).sum()))
 
-    def gradient(p: _Point, W: np.ndarray) -> np.ndarray:
+    def smoothed(p: _Point, mu: Optional[float]) -> float:
+        if not d1:
+            return p.value
+        return pref * float(np.sqrt(p.lam * p.lam + mu * mu).sum())
+
+    def gradient(p: _Point, mu: Optional[float]) -> np.ndarray:
+        if d1:
+            W = ((p.Q * (p.lam / np.sqrt(p.lam * p.lam + mu * mu))) @ p.Q.conj().T) * mask
+        else:
+            W = 2.0 * p.R
         # W is zero on the diagonal A-blocks, as R is;
         # tr_B(W K^+ rho)[a, c] = sum_{b, k} W[(a b), k] KtR[k, (c b)]
         X = W.reshape(d, d3) @ p.KtR.reshape(d2, d, d).transpose(2, 0, 1).reshape(d3, d)
-        Vh = p.V.conj().T
-        half = np.exp(0.5j * p.w)
-        x = 0.5 * (p.w[:, None] - p.w[None, :])
-        sinc = np.divide(np.sin(x), x, out=np.ones((d, d)), where=x != 0.0)
-        # Gamma is symmetric, so <g_m, conj(V) (A^T o Gamma) V^T> = i tr(g_m Z) with
-        # Z = V (A o Gamma / i) V^+, A = V^+ G V, and Re(i z) = -Im(z)
-        Z = p.V @ ((Vh @ X @ p.U0V) * (half[:, None] * half[None, :] * sinc)) @ Vh
-        return -2.0 * pref * (flat_conj @ Z.ravel()).imag
+        return -2.0 * pref * (flat_conj @ (X @ p.U).ravel()).imag
 
-    def smooth(p: _Point, mu: Optional[float]) -> tuple[float, np.ndarray]:
-        if not d1:
-            return p.value, gradient(p, 2.0 * p.R)
-        s = np.sqrt(p.lam * p.lam + mu * mu)
-        return pref * float(s.sum()), gradient(p, ((p.Q * (p.lam / s)) @ p.Q.conj().T) * mask)
-
-    return at, smooth
+    return at, smoothed, gradient
 
 
 def _objective(basis: GellMannBasis, state: TwoQuditState, measure: str):
     """The D1 or D2 objective as a function of theta alone, at the frame exp(i <theta, g>)."""
-    at, _ = _chart(basis, state, measure)
+    at = _chart(basis, state, measure)[0]
     eye = np.eye(basis.d, dtype=complex)
     return lambda theta: at(np.asarray(theta, dtype=float), eye).value
 
 
-def _recentred(p: _Point) -> _Point:
-    """The same call seen from the chart whose origin is its frame (theta = 0)."""
-    d = p.U.shape[0]
-    return p._replace(U0V=p.U, w=np.zeros(d), V=np.eye(d, dtype=complex))
+def _bfgs(value, gradient, start, budget: int, H=None):
+    """Dense BFGS in a chart that follows its accepted point (Nocedal & Wright,
+    Numerical Optimization, Alg. 6.1).
 
-
-def _bfgs(fg, start, budget: int):
-    """Dense BFGS from theta = 0 (Nocedal & Wright, Numerical Optimization, Alg. 6.1).
-
-    ``fg(theta)`` returns (value, gradient, point) and ``start`` is that
-    triple at theta = 0, which is never asked for again.  Until the first
-    step with s.y > 0 a step runs along -g, starting at unit length; that
-    step seeds the inverse Hessian H as (s.y / y.y) I, and H takes the
-    BFGS update only on steps with s.y > 0, so it stays positive definite.
-    A trial step t along d is accepted when f(theta + t d) <= f + ARMIJO
-    t g.d; otherwise t becomes the minimizer of the quadratic through f,
-    g.d and the trial value, clipped to [0.1 t, 0.5 t] (ibid., section 3.5).
+    ``start`` is (f, g, p): the value, the gradient and the point to start
+    from.  ``value(p, s)`` returns (f, q): the value at the point q that the
+    step s reaches from p, in p's chart; ``gradient(q)`` is q's gradient in
+    its own chart.  Only accepted points get a gradient, and y = g_new - g
+    compares gradients in the charts of their own points.  ``H`` is the
+    inverse Hessian to start from; while it is None a step runs along -g,
+    starting at unit length, and the first step with s.y > 0 seeds H as
+    (s.y / y.y) I.  H takes the BFGS update only on steps with s.y > 0, so
+    it stays positive definite.  A trial step t along d is accepted when
+    f(p + t d) <= f + ARMIJO t g.d; otherwise t becomes the minimizer of the
+    quadratic through f, g.d and the trial value, clipped to [0.1 t, 0.5 t]
+    (ibid., section 3.5).
 
     The loop stops when the gradient infinity-norm is at most GTOL, when
     an accepted step lowers the value by at most FTOL * max(|f|, 1), when
     the line search fails (the decrease -t g.d predicts is at most that
     bound, as it is at once for a d that is no descent direction), or after
-    ``budget`` iterations.  Returns the last accepted theta, its gradient,
-    the iterations made and its point.
+    ``budget`` iterations.  Returns the last accepted point, its gradient,
+    the iterations made and H.
     """
     f, g, p = start
-    theta = np.zeros(g.size)
-    H = None
     nit = 0
     while nit < budget and np.max(np.abs(g)) > GTOL:
         d = -g if H is None else -(H @ g)
@@ -516,13 +499,13 @@ def _bfgs(fg, start, budget: int):
         t = 1.0 / math.sqrt(-slope) if H is None else 1.0
         while True:
             if -t * slope <= floor:
-                return theta, g, nit, p
-            trial = theta + t * d
-            f_new, g_new, p_new = fg(trial)
+                return p, g, nit, H
+            f_new, p_new = value(p, t * d)
             if f_new <= f + ARMIJO * t * slope:
                 break
             t = min(max(-0.5 * slope * t * t / (f_new - f - slope * t), 0.1 * t), 0.5 * t)
-        s, y = trial - theta, g_new - g
+        g_new = gradient(p_new)
+        s, y = t * d, g_new - g
         sy = float(s @ y)
         if sy > 0.0:
             if H is None:
@@ -530,13 +513,13 @@ def _bfgs(fg, start, budget: int):
             Hy = H @ y
             # H <- (I - s y^T / sy) H (I - y s^T / sy) + s s^T / sy, as u s^T + s u^T
             u = ((0.5 + 0.5 * float(y @ Hy) / sy) * s - Hy) / sy
-            H += np.outer(u, s) + np.outer(s, u)
+            H = H + np.outer(u, s) + np.outer(s, u)
         nit += 1
         decrease = f - f_new
-        theta, f, g, p = trial, f_new, g_new, p_new
+        p, f, g = p_new, f_new, g_new
         if decrease <= floor:
             break
-    return theta, g, nit, p
+    return p, g, nit, H
 
 
 def _minimize(search, n: int, config: OptimizerConfig):
@@ -549,13 +532,12 @@ def _minimize(search, n: int, config: OptimizerConfig):
     TIE_WINDOW, so ties keep the earlier start.
 
     A start is flat when its search lowered the objective by at most tol,
-    which includes a start whose first BFGS run took no step.  Two flat
-    starts that agree within tol have seen no variation around two
-    different frames, so the remaining starts are skipped: a frame-constant
-    objective costs 2 objective calls.  An objective that varies runs every
-    start, and tol = 0 never stops early.  Returns (value, result) of the
-    winning start, the values every start reached, the number of starts
-    run, and whether two flat starts agreed.
+    which includes a start whose first level took no step.  Two flat starts
+    that agree within tol have seen no variation around two different
+    frames, so the remaining starts are skipped: a frame-constant objective
+    costs 2 objective calls.  An objective that varies runs every start, and
+    tol = 0 never stops early.  Returns (value, result) of the winning
+    start, the values every start reached and the number of starts run.
     """
     best = None  # (value, result)
     values: list[float] = []
@@ -572,9 +554,9 @@ def _minimize(search, n: int, config: OptimizerConfig):
             best = (value, result)
         if config.tol > 0 and f0 - value <= config.tol:
             if any(abs(value - other) <= config.tol for other in flat_values):
-                return best, values, s + 1, True
+                break
             flat_values.append(value)
-    return best, values, s + 1, False
+    return best, values, len(values)
 
 
 def _minimize_in_chart(state: TwoQuditState, config: OptimizerConfig, measure: str):
@@ -584,76 +566,66 @@ def _minimize_in_chart(state: TwoQuditState, config: OptimizerConfig, measure: s
     of smoothing: the first has mu = D1_MU0_SHARE * mean|lambda(R)| at the
     start frame (at least D1_MU_FLOOR), and each later one a tenth of the
     last, down to D1_MU_FLOOR, the last level.  D2 needs no smoothing and
-    runs one level.  A level runs :func:`_bfgs` from theta = 0 up to
-    RUNS_PER_LEVEL times, moving U0 to the run's last accepted point after
-    each, until a run's step ||theta|| is below STEP_TOL.  A start whose
-    first run takes no step (its gradient is at most GTOL at the start
-    frame, as for every frame of a Jordan-class state) ends after that one
-    call.  ``max_iter`` caps the BFGS iterations of a start, summed over
-    its levels and runs.
+    runs one level.  Each level is one :func:`_bfgs` run whose chart
+    follows its accepted points, and the inverse Hessian carries from
+    level to level.  A start whose first level takes no step (its gradient
+    is at most GTOL at the start frame, as for every frame of a
+    Jordan-class state) ends after that one call.  ``max_iter`` caps the
+    BFGS iterations of a start, summed over its levels.
 
     A start's result is the lowest true objective it saw, the start frame
     included, so the returned value is the objective at the returned frame.
     ``nfev`` counts objective calls, ``best_residual`` is the winning
     start's last gradient infinity-norm, and ``converged`` means the winning
-    start finished its last level within max_iter, or ended flat while
-    :func:`_minimize` found a second flat start that agreed.  Returns that
-    estimate and the values every start reached.
+    start ended its last level by a stopping test within max_iter, or ended
+    flat while another start came within tol of its value.  Returns that
+    estimate and whether at least two starts came within tol of the best.
     """
     basis = build_basis(state.d)
-    at, smooth = _chart(basis, state, measure)
+    at, smoothed, gradient = _chart(basis, state, measure)
     nfev = 0
 
     def search(theta0: np.ndarray):
-        best = []  # [value, U] of the lowest true value seen
-
-        def call(theta: np.ndarray, U0: np.ndarray) -> _Point:
-            nonlocal nfev
-            p = at(theta, U0)
-            nfev += 1
-            if not best or p.value < best[0]:
-                best[:] = p.value, p.U
-            return p
-
-        origin = _recentred(call(np.zeros(basis.n), expi(expand(basis, 0.0, theta0))))
-        f0 = origin.value
+        nonlocal nfev
+        p = at(np.zeros(basis.n), expi(expand(basis, 0.0, theta0)))
+        nfev += 1
+        best = [p.value, p.U]  # the lowest true value seen, and its frame
         mu = None
         if measure == "d1":
-            mu = max(D1_MU0_SHARE * float(np.abs(origin.lam).mean()), D1_MU_FLOOR)
+            mu = max(D1_MU0_SHARE * float(np.abs(p.lam).mean()), D1_MU_FLOOR)
 
-        def fg(theta: np.ndarray):
-            p = call(theta, origin.U)
-            return (*smooth(p, mu), p)
+        def trial(p: _Point, s: np.ndarray):
+            nonlocal nfev
+            q = at(s, p.U)
+            nfev += 1
+            if q.value < best[0]:
+                best[:] = q.value, q.U
+            return smoothed(q, mu), q
 
-        budget, runs, first, finished = config.max_iter, 0, True, False
-        while budget > 0:
-            theta, grad, nit, p = _bfgs(fg, (*smooth(origin, mu), origin), budget)
-            budget -= nit
-            residual = float(np.max(np.abs(grad)))
-            if first and nit == 0:
-                return best[0], f0, (best[1], residual, False, True)
-            first = False
-            origin = _recentred(p)
-            runs += 1
-            if np.linalg.norm(theta) < STEP_TOL or runs == RUNS_PER_LEVEL:
-                if mu is None or mu == D1_MU_FLOOR:
-                    finished = True
-                    break
-                mu, runs = max(mu / 10.0, D1_MU_FLOOR), 0
-        return best[0], f0, (best[1], residual, finished, False)
+        f0, budget, H = p.value, config.max_iter, None
+        while True:
+            start = (smoothed(p, mu), gradient(p, mu), p)
+            p, g, nit, H = _bfgs(trial, lambda q: gradient(q, mu), start, budget, H)
+            residual = float(np.max(np.abs(g)))
+            flat = nit == 0 and budget == config.max_iter  # the first level took no step
+            finished, budget = nit < budget and not flat, budget - nit
+            if not finished or mu is None or mu == D1_MU_FLOOR:
+                return best[0], f0, (best[1], residual, finished, flat)
+            mu = max(mu / 10.0, D1_MU_FLOOR)
 
-    (value, (U, residual, finished, flat)), values, starts_run, frame_constant = _minimize(
+    (value, (U, residual, finished, flat)), values, starts_run = _minimize(
         search, basis.n, config)
+    agree = sum(v <= value + config.tol for v in values) >= 2
     estimate = DiscordEstimate(
         value=float(value),
         method="numerical_min",
         frame=frame_from_unitary(basis, phase_normalize(U)),
         best_residual=residual,
-        converged=finished or (flat and frame_constant),
+        converged=finished or (flat and agree),
         nfev=nfev,
         starts_run=starts_run,
     )
-    return estimate, values
+    return estimate, agree
 
 
 def minimize_d1(state: TwoQuditState, config: OptimizerConfig | None = None) -> DiscordEstimate:
@@ -662,17 +634,18 @@ def minimize_d1(state: TwoQuditState, config: OptimizerConfig | None = None) -> 
     The D1 objective pref1 sum |lambda(R)| is smoothed to
     pref1 sum sqrt(lambda^2 + mu^2) (Nesterov 2005) and minimized by
     :func:`_minimize_in_chart` with the exact gradient of :func:`_chart`, in
-    the chart U = U0 exp(i <theta, g>) over all n generators, through
-    smoothing levels from mu = D1_MU0_SHARE * mean|lambda(R)| down to
-    D1_MU_FLOOR.  The value is the lowest true objective seen, at the
-    returned frame: an upper bound on the discord that equals it when the
-    search converges globally, deterministic for a fixed seed.  ``nfev``
-    counts objective calls (each gives value and gradient);
-    ``best_residual`` is the winning start's last gradient infinity-norm;
-    ``converged`` means the winning start finished its last level within
-    max_iter, or ended flat while a second flat start agreed.  A flat start
-    alone is not converged: its frame is stationary, which a saddle is too.
-    Non-convergence is reported, never hidden by suppressing the value.
+    the chart U = U0 exp(i <theta, g>) over all n generators, whose origin
+    U0 follows every accepted step, through smoothing levels from
+    mu = D1_MU0_SHARE * mean|lambda(R)| down to D1_MU_FLOOR.  The value is
+    the lowest true objective seen, at the returned frame: an upper bound on
+    the discord that equals it when the search converges globally,
+    deterministic for a fixed seed.  ``nfev`` counts objective calls; only
+    accepted steps also take a gradient.  ``best_residual`` is the winning start's last gradient infinity-norm;
+    ``converged`` means the winning start ended its last level by a
+    stopping test within max_iter, or ended flat while another start came
+    within tol of its value.  A flat start alone is not converged: its frame
+    is stationary, which a saddle is too.  Non-convergence is reported,
+    never hidden by suppressing the value.
     """
     return _minimize_in_chart(state, config or OptimizerConfig(), "d1")[0]
 
@@ -689,7 +662,5 @@ def minimize_d2(state: TwoQuditState, config: OptimizerConfig | None = None) -> 
     counts as converged; U = I is a stationary frame of some states (the
     Bell-diagonal pairs), where a lone start ends flat above the minimum.
     """
-    config = config or OptimizerConfig()
-    estimate, values = _minimize_in_chart(state, config, "d2")
-    agree = sum(value <= estimate.value + config.tol for value in values)
-    return replace(estimate, converged=estimate.converged and agree >= 2)
+    estimate, agree = _minimize_in_chart(state, config or OptimizerConfig(), "d2")
+    return replace(estimate, converged=estimate.converged and agree)

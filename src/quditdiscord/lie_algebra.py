@@ -260,7 +260,7 @@ def decompose(
     """Coefficients (a0, a) with A = a0*I + <a, g>; A must be Hermitian.
 
     a0 = tr(A)/d and a_j = tr(A g_j)/2.  Raises on a Hermiticity defect
-    above ``atol`` since a real coefficient vector is requested.
+    above ``atol``, as a real coefficient vector is requested.
     """
     A = np.asarray(A, dtype=complex)
     if A.shape != (basis.d, basis.d):

@@ -30,6 +30,12 @@ def random_density(d, rng):
     return rho / np.trace(rho)
 
 
+def classical_quantum_rho(d, rng):
+    """sum_a p_a |a><a| x sigma_a: diagonal on A in the computational basis, zero discord."""
+    p = rng.dirichlet(np.ones(d))
+    return sum(np.kron(np.diag(np.eye(d)[a]), p[a] * random_density(d, rng)) for a in range(d))
+
+
 def generic_rho(d, rng):
     """Half a random Wishart state, half the maximally mixed state."""
     G = rng.standard_normal((d * d, d * d)) + 1j * rng.standard_normal((d * d, d * d))

@@ -13,7 +13,7 @@ from quditdiscord import lie_algebra as la
 from quditdiscord import measurement as ms
 from quditdiscord import states as st
 
-from conftest import generic_rho
+from conftest import classical_quantum_rho, generic_rho
 
 
 def run(argv):
@@ -74,6 +74,15 @@ class TestDiscordCommand:
         assert code == 0
         assert abs(doc["d1_numeric"] - 0.3) < 1e-6
         assert doc["converged"] is True
+
+    def test_classical_quantum_state_exits_0(self, tmp_path, capsys, basis3):
+        """An exact zero found by the flat start 0 is converged, not exit 4."""
+        rho = classical_quantum_rho(3, np.random.default_rng(10))
+        path = self._write_state(tmp_path, st.from_density(basis3, rho))
+        code = run(["discord", "--state", path, "--numeric"])
+        doc = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert (doc["d1_numeric"], doc["d2_numeric"], doc["converged"]) == (0.0, 0.0, True)
 
     def test_invalid_document_exit_2(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -10,7 +10,7 @@ from quditdiscord import lie_algebra as la
 from quditdiscord import measurement as ms
 from quditdiscord import states as st
 
-from conftest import generic_lmm_rho, generic_rho
+from conftest import classical_quantum_rho, generic_lmm_rho, generic_rho
 
 
 class TestFrameValue:
@@ -556,7 +556,7 @@ class TestObjective:
         eye = np.eye(d, dtype=complex)
         for state in (lmm, generic):
             d1 = dc._objective(basis, state, "d1")
-            at, _ = dc._chart(basis, state, "d2")
+            at = dc._chart(basis, state, "d2")[0]
             for theta in thetas:
                 frame = ms.frame_from_theta(basis, theta)
                 S = ms.disturbance(state, frame)
@@ -584,14 +584,14 @@ class TestObjective:
         chart = dc._chart
 
         def counted(basis, state, measure):
-            at, smooth = chart(basis, state, measure)
+            at, *rest = chart(basis, state, measure)
 
             def counted_at(theta, U0):
                 nonlocal calls
                 calls += 1
                 return at(theta, U0)
 
-            return counted_at, smooth
+            return counted_at, *rest
 
         monkeypatch.setattr(dc, "_chart", counted)
         for minimize in (dc.minimize_d1, dc.minimize_d2):
@@ -601,52 +601,100 @@ class TestObjective:
 
 
 def _convex_quadratic(n, seed):
-    """fg of a seeded strictly convex quadratic, with its minimizer; the point is x itself."""
+    """A seeded strictly convex quadratic for _bfgs: (f, value, gradient, minimizer).
+
+    A point is x itself and the step s from x reaches x + s, so every point's
+    chart is the same flat one.
+    """
     rng = np.random.default_rng(seed)
     M = rng.standard_normal((n, n))
     A = M @ M.T / n + np.eye(n)
     xstar = rng.standard_normal(n)
 
-    def fg(x):
+    def f(x):
         r = x - xstar
-        return 0.5 * float(r @ A @ r), A @ r, x.copy()
+        return 0.5 * float(r @ A @ r)
 
-    return fg, xstar
+    return f, lambda x, s: (f(x + s), x + s), lambda x: A @ (x - xstar), xstar
 
 
 class TestBfgs:
     @pytest.mark.parametrize("n", [8, 35])
     def test_reaches_the_minimizer_of_a_convex_quadratic(self, n):
-        fg, xstar = _convex_quadratic(n, [100, n])
+        f, value, gradient, xstar = _convex_quadratic(n, [100, n])
         budget = 10 * n
-        theta, grad, nit, point = dc._bfgs(fg, fg(np.zeros(n)), budget)
-        assert np.max(np.abs(theta - xstar)) <= 1e-8
+        x0 = np.zeros(n)
+        x, grad, nit, H = dc._bfgs(value, gradient, (f(x0), gradient(x0), x0), budget)
+        assert np.max(np.abs(x - xstar)) <= 1e-8
         assert nit < budget  # a stopping test ended it, not the budget
-        assert np.array_equal(point, theta)
-        assert np.array_equal(grad, fg(theta)[1])
+        assert np.array_equal(grad, gradient(x))
+        assert np.all(np.linalg.eigvalsh(H) > 0.0)
+
+    def test_takes_h_in_and_hands_it_back(self):
+        """Given H, the first trial is the full step -H g, and H comes back updated."""
+        n = 8
+        f, value, gradient, _ = _convex_quadratic(n, [100, n])
+        x0 = np.zeros(n)
+        x1, g1, nit, H = dc._bfgs(value, gradient, (f(x0), gradient(x0), x0), 3)
+        assert nit == 3
+        steps = []
+
+        def logged(x, s):
+            steps.append(s)
+            return value(x, s)
+
+        _, _, _, H2 = dc._bfgs(logged, gradient, (f(x1), g1, x1), 1, H.copy())
+        assert np.array_equal(steps[0], -(H @ g1))
+        assert not np.array_equal(H2, H)
 
     @pytest.mark.parametrize("budget", [1, 2, 3, 5, 8])
     def test_spends_at_most_its_budget_and_never_rises(self, basis3, budget):
         """On a generic state's smoothed chart: nit <= budget, value <= f(0), unit first step."""
         state = _generic_state(basis3, 97)
-        at, smooth = dc._chart(basis3, state, "d1")
-        U0 = la.random_special_unitary(3, 101)
-        origin = dc._recentred(at(np.zeros(basis3.n), U0))
+        at, smoothed, gradient = dc._chart(basis3, state, "d1")
+        origin = at(np.zeros(basis3.n), la.random_special_unitary(3, 101))
         mu = dc.D1_MU0_SHARE * float(np.mean(np.abs(origin.lam)))
         trials = []
 
-        def fg(theta):
-            trials.append(theta)
-            p = at(theta, U0)
-            return (*smooth(p, mu), p)
+        def value(p, s):
+            q = at(s, p.U)
+            trials.append((s, q))
+            return smoothed(q, mu), q
 
-        start = (*smooth(origin, mu), origin)
-        theta, grad, nit, point = dc._bfgs(fg, start, budget)
+        start = (smoothed(origin, mu), gradient(origin, mu), origin)
+        point, grad, nit, _ = dc._bfgs(value, lambda q: gradient(q, mu), start, budget)
         assert nit == budget  # far from stationary: every iteration is spent
-        assert smooth(point, mu)[0] < start[0]
-        assert np.array_equal(grad, smooth(point, mu)[1])
-        assert any(np.array_equal(theta, trial) for trial in trials)
-        assert np.linalg.norm(trials[0]) == pytest.approx(1.0, rel=1e-12)
+        assert smoothed(point, mu) < start[0]
+        assert np.array_equal(grad, gradient(point, mu))
+        assert any(q is point for _, q in trials)
+        assert np.linalg.norm(trials[0][0]) == pytest.approx(1.0, rel=1e-12)
+
+    def test_gradient_once_per_accepted_step_and_never_at_a_rejected_trial(self, basis3):
+        """Each gradient is taken at the trial just made, once; the other trials get none."""
+        state = _generic_state(basis3, 97)
+        at, smoothed, gradient = dc._chart(basis3, state, "d1")
+        origin = at(np.zeros(basis3.n), la.random_special_unitary(3, 101))
+        mu = dc.D1_MU0_SHARE * float(np.mean(np.abs(origin.lam)))
+        events = []
+
+        def value(p, s):
+            q = at(s, p.U)
+            events.append(("value", q))
+            return smoothed(q, mu), q
+
+        def grad(q):
+            events.append(("gradient", q))
+            return gradient(q, mu)
+
+        start = (smoothed(origin, mu), gradient(origin, mu), origin)
+        point, _, nit, _ = dc._bfgs(value, grad, start, 40)
+        kinds = [kind for kind, _ in events]
+        assert kinds.count("gradient") == nit > 0
+        for k, (kind, q) in enumerate(events):
+            if kind == "gradient":
+                assert kinds[k - 1] == "value" and events[k - 1][1] is q
+        assert kinds.count("value") > nit  # the unit first step backtracks: rejected trials
+        assert [q for kind, q in events if kind == "gradient"][-1] is point
 
 
 class TestEarlyStop:
@@ -717,6 +765,19 @@ class TestEarlyStop:
         assert default.converged is True
         assert_allclose(default.value, 0.52, rtol=0, atol=1e-9)
 
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_flat_winner_agreed_by_a_stepping_start_is_converged(self, d):
+        """A classical-quantum state diagonal on A: start 0 (U = I) is exact and ends flat.
+
+        The other starts reach 0 by taking steps, so none of them is flat; one of
+        them within tol of the flat winner is enough to call it converged.
+        """
+        state = st.from_density(la.build_basis(d),
+                                classical_quantum_rho(d, np.random.default_rng(10)))
+        for minimize in (dc.minimize_d1, dc.minimize_d2):
+            est = minimize(state)
+            assert (est.value, est.converged) == (0.0, True)
+
     def test_zero_tol_never_stops_early(self, basis3):
         state = st.class_a_state(basis3, np.eye(3, dtype=complex), 0.25)
         est = dc.minimize_d1(state, dc.OptimizerConfig(starts=3, tol=0, max_iter=50))
@@ -770,21 +831,20 @@ class TestProperties:
     @PROPERTY
     @given(d=hst.sampled_from([3, 4, 5, 6]), seed=SEEDS, lmm=hst.booleans())
     def test_chart_gradient_matches_central_differences(self, d, seed, lmm):
-        """The smoothed D1 and the D2 gradient at a random frame and theta, against central
-        differences."""
+        """The smoothed D1 and the D2 gradient at a random frame, in the chart whose origin
+        it is, against central differences."""
         basis = la.build_basis(d)
         rho = (generic_lmm_rho if lmm else generic_rho)(d, np.random.default_rng(seed))
         state = st.from_density(basis, rho)
         U0 = la.random_special_unitary(d, [seed, 3])
-        theta = 0.5 * np.random.default_rng([seed, 4]).standard_normal(basis.n)
         h = 1e-5
         for measure in ("d1", "d2"):
-            at, smooth = dc._chart(basis, state, measure)
-            point = at(theta, U0)
+            at, smoothed, gradient = dc._chart(basis, state, measure)
+            point = at(np.zeros(basis.n), U0)
             mu = dc.D1_MU0_SHARE * float(np.mean(np.abs(point.lam))) if measure == "d1" else None
-            central = [(smooth(at(theta + h * e, U0), mu)[0]
-                        - smooth(at(theta - h * e, U0), mu)[0]) / (2 * h) for e in np.eye(basis.n)]
-            assert_allclose(smooth(point, mu)[1], central, rtol=0, atol=1e-8)
+            central = [(smoothed(at(h * e, U0), mu) - smoothed(at(-h * e, U0), mu)) / (2 * h)
+                       for e in np.eye(basis.n)]
+            assert_allclose(gradient(point, mu), central, rtol=0, atol=1e-8)
 
     @PROPERTY
     @given(d=hst.sampled_from([3, 4, 5, 6]), seed=SEEDS, anti=hst.booleans(),
@@ -799,13 +859,12 @@ class TestProperties:
         else:
             t = -d / (2.0 * (d - 1)) + u * (d / (2.0 * (d + 1)) + d / (2.0 * (d - 1)))
             state = st.class_a_state(basis, eye, t)
-        at, smooth = dc._chart(basis, _moved(state, seed), "d1")
-        theta = 0.5 * np.random.default_rng([seed, 4]).standard_normal(basis.n)
-        for point in (at(np.zeros(basis.n), la.random_special_unitary(d, [seed, 3])),
-                      at(theta, la.random_special_unitary(d, [seed, 5]))):
+        at, _, gradient = dc._chart(basis, _moved(state, seed), "d1")
+        for k in (3, 5):
+            point = at(np.zeros(basis.n), la.random_special_unitary(d, [seed, k]))
             share = dc.D1_MU0_SHARE * float(np.mean(np.abs(point.lam)))
             for mu in (max(share, dc.D1_MU_FLOOR), dc.D1_MU_FLOOR):
-                assert np.max(np.abs(smooth(point, mu)[1])) <= dc.GTOL
+                assert np.max(np.abs(gradient(point, mu))) <= dc.GTOL
 
     @PROPERTY
     @given(d=DIMS, seed=SEEDS)

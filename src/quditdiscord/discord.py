@@ -12,7 +12,7 @@ bounds or the multi-start numerical minimizer.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -20,8 +20,6 @@ import numpy as np
 from .lie_algebra import (
     GellMannBasis,
     build_basis,
-    expand,
-    expi,
     phase_normalize,
     structure_tensors,
 )
@@ -82,11 +80,20 @@ class DiscordEstimate:
 
     value: float
     method: str  # analytic | lower_bound | numerical_min
-    frame: Optional[MeasurementFrame] = None
+    # the winning frame's phase-normalized unitary; left out of == and hash, as arrays
+    # have no truth value and no hash
+    U: Optional[np.ndarray] = field(default=None, compare=False)
     best_residual: float = 0.0  # last gradient infinity-norm of the winning start
     converged: bool = False  # see minimize_d1 / minimize_d2
     nfev: int = 0  # objective calls over all starts run
     starts_run: int = 0  # starts run before the multi-start stopped
+
+    @property
+    def frame(self) -> Optional[MeasurementFrame]:
+        """The winning frame, built from ``U`` by frame_from_unitary on each read."""
+        if self.U is None:
+            return None
+        return frame_from_unitary(build_basis(self.U.shape[0]), self.U)
 
 
 @dataclass(frozen=True)
@@ -395,13 +402,13 @@ def _chart(basis: GellMannBasis, state: TwoQuditState, measure: str):
     """The D1 or D2 objective in the chart U = U0 exp(i <theta, g>): (at, smoothed, gradient).
 
     ``measure`` is "d1" or "d2".  ``at(theta, U0)`` is one objective call.
-    It gets <theta, g> = V diag(w) V^+ from LAPACK's zheevd,
+    It gets <theta, g> = V diag(w) V^+ from np.linalg.eigh,
     U = U0 V diag(exp(iw)) V^+, K^+ rho and R = (K^+ rho K) o mask with
     K = U x I.  Both norms are unitarily invariant, so the disturbance is
     never rotated back and no frame is built.  D2's value is pref2 ||R||_F^2;
-    D1 takes the eigenpairs of R from a second zheevd for pref1 sum |lambda|.
-    A failed eigensolve, as for a non-finite theta, raises
-    np.linalg.LinAlgError.
+    D1 takes the eigenpairs of R from a second np.linalg.eigh for
+    pref1 sum |lambda|.  A failed eigensolve, as for a non-finite theta,
+    raises np.linalg.LinAlgError.
 
     ``smoothed(point, mu)`` is D1's smoothed value pref1 sum
     sqrt(lambda^2 + mu^2); D2 is smooth already, so it ignores mu and gives
@@ -411,9 +418,6 @@ def _chart(basis: GellMannBasis, state: TwoQuditState, measure: str):
     with X = tr_B(W K^+ rho), and the gradient is -2 pref Im tr(g_m X U).
     D1 has W = (Q diag(lambda / sqrt(lambda^2 + mu^2)) Q^+) o mask, D2 W = 2R.
     """
-    # imported here so that importing the package does not pay for scipy.linalg
-    from scipy.linalg.lapack import zheevd
-
     d = basis.d
     d2, d3 = d * d, d ** 3
     flat = basis.flat
@@ -425,9 +429,7 @@ def _chart(basis: GellMannBasis, state: TwoQuditState, measure: str):
     pref = d / (2.0 * (d - 1)) if d1 else d / (d - 1.0)
 
     def at(theta: np.ndarray, U0: np.ndarray) -> _Point:
-        w, V, info = zheevd((theta @ flat).reshape(d, d), compute_v=1)
-        if info:
-            raise np.linalg.LinAlgError(f"zheevd failed on <theta, g> (info={info})")
+        w, V = np.linalg.eigh((theta @ flat).reshape(d, d))
         U = ((U0 @ V) * np.exp(1j * w)) @ V.conj().T
         Ut = U.conj().T
         # (U^+ x I) X mixes the row blocks of X: one (d, d) by (d, d^3) product,
@@ -436,19 +438,17 @@ def _chart(basis: GellMannBasis, state: TwoQuditState, measure: str):
         R = (Ut @ KtR.conj().T.reshape(d, d3)).reshape(d2, d2) * mask
         if not d1:
             return _Point(U, KtR, R, None, None, pref * float(np.vdot(R, R).real))
-        lam, Q, info = zheevd(R, compute_v=1)
-        if info:
-            raise np.linalg.LinAlgError(f"zheevd failed on the disturbance (info={info})")
+        lam, Q = np.linalg.eigh(R)
         return _Point(U, KtR, R, lam, Q, pref * float(np.abs(lam).sum()))
 
     def smoothed(p: _Point, mu: Optional[float]) -> float:
         if not d1:
             return p.value
-        return pref * float(np.sqrt(p.lam * p.lam + mu * mu).sum())
+        return pref * float(np.hypot(p.lam, mu).sum())
 
     def gradient(p: _Point, mu: Optional[float]) -> np.ndarray:
         if d1:
-            W = ((p.Q * (p.lam / np.sqrt(p.lam * p.lam + mu * mu))) @ p.Q.conj().T) * mask
+            W = ((p.Q * (p.lam / np.hypot(p.lam, mu))) @ p.Q.conj().T) * mask
         else:
             W = 2.0 * p.R
         # W is zero on the diagonal A-blocks, as R is;
@@ -457,13 +457,6 @@ def _chart(basis: GellMannBasis, state: TwoQuditState, measure: str):
         return -2.0 * pref * (flat_conj @ (X @ p.U).ravel()).imag
 
     return at, smoothed, gradient
-
-
-def _objective(basis: GellMannBasis, state: TwoQuditState, measure: str):
-    """The D1 or D2 objective as a function of theta alone, at the frame exp(i <theta, g>)."""
-    at = _chart(basis, state, measure)[0]
-    eye = np.eye(basis.d, dtype=complex)
-    return lambda theta: at(np.asarray(theta, dtype=float), eye).value
 
 
 def _bfgs(value, gradient, start, budget: int, H=None):
@@ -492,7 +485,7 @@ def _bfgs(value, gradient, start, budget: int, H=None):
     """
     f, g, p = start
     nit = 0
-    while nit < budget and np.max(np.abs(g)) > GTOL:
+    while nit < budget and abs(g).max() > GTOL:
         d = -g if H is None else -(H @ g)
         slope = float(g @ d)
         floor = FTOL * max(abs(f), 1.0)
@@ -500,12 +493,13 @@ def _bfgs(value, gradient, start, budget: int, H=None):
         while True:
             if -t * slope <= floor:
                 return p, g, nit, H
-            f_new, p_new = value(p, t * d)
+            s = t * d
+            f_new, p_new = value(p, s)
             if f_new <= f + ARMIJO * t * slope:
                 break
             t = min(max(-0.5 * slope * t * t / (f_new - f - slope * t), 0.1 * t), 0.5 * t)
         g_new = gradient(p_new)
-        s, y = t * d, g_new - g
+        y = g_new - g
         sy = float(s @ y)
         if sy > 0.0:
             if H is None:
@@ -513,7 +507,8 @@ def _bfgs(value, gradient, start, budget: int, H=None):
             Hy = H @ y
             # H <- (I - s y^T / sy) H (I - y s^T / sy) + s s^T / sy, as u s^T + s u^T
             u = ((0.5 + 0.5 * float(y @ Hy) / sy) * s - Hy) / sy
-            H = H + np.outer(u, s) + np.outer(s, u)
+            us = u[:, None] * s
+            H = H + us + us.T
         nit += 1
         decrease = f - f_new
         p, f, g = p_new, f_new, g_new
@@ -583,11 +578,12 @@ def _minimize_in_chart(state: TwoQuditState, config: OptimizerConfig, measure: s
     """
     basis = build_basis(state.d)
     at, smoothed, gradient = _chart(basis, state, measure)
+    eye = np.eye(basis.d, dtype=complex)
     nfev = 0
 
     def search(theta0: np.ndarray):
         nonlocal nfev
-        p = at(np.zeros(basis.n), expi(expand(basis, 0.0, theta0)))
+        p = at(theta0, eye)
         nfev += 1
         best = [p.value, p.U]  # the lowest true value seen, and its frame
         mu = None
@@ -606,7 +602,7 @@ def _minimize_in_chart(state: TwoQuditState, config: OptimizerConfig, measure: s
         while True:
             start = (smoothed(p, mu), gradient(p, mu), p)
             p, g, nit, H = _bfgs(trial, lambda q: gradient(q, mu), start, budget, H)
-            residual = float(np.max(np.abs(g)))
+            residual = float(abs(g).max())
             flat = nit == 0 and budget == config.max_iter  # the first level took no step
             finished, budget = nit < budget and not flat, budget - nit
             if not finished or mu is None or mu == D1_MU_FLOOR:
@@ -619,7 +615,7 @@ def _minimize_in_chart(state: TwoQuditState, config: OptimizerConfig, measure: s
     estimate = DiscordEstimate(
         value=float(value),
         method="numerical_min",
-        frame=frame_from_unitary(basis, phase_normalize(U)),
+        U=phase_normalize(U),
         best_residual=residual,
         converged=finished or (flat and agree),
         nfev=nfev,

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from quditdiscord import discord as dc
 from quditdiscord import lie_algebra as la
 
 
@@ -17,6 +18,16 @@ def basis4():
 @pytest.fixture(scope="session")
 def tensors3(basis3):
     return la.structure_tensors(basis3)
+
+
+def objective(basis, state, measure):
+    """The D1 or D2 objective of ``discord._chart`` as a function of theta alone.
+
+    It is read at the frame exp(i <theta, g>), the chart with U0 = I.
+    """
+    at = dc._chart(basis, state, measure)[0]
+    eye = np.eye(basis.d, dtype=complex)
+    return lambda theta: at(np.asarray(theta, dtype=float), eye).value
 
 
 def random_hermitian(d, rng):

@@ -206,38 +206,42 @@ class TestExitCodes:
         assert exc.value.code == 2
         assert message in capsys.readouterr().err
 
-    def test_import_leaves_out_scipy_optimize(self):
-        """Only the minimizers need scipy.optimize and scipy.linalg.
-
-        Importing the CLI loads neither, so commands without --numeric skip both.
-        """
+    @staticmethod
+    def _python(code):
+        """Run ``code`` in a fresh interpreter that imports the package from this checkout."""
         src = str(Path(quditdiscord.__file__).resolve().parents[1])
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-        proc = subprocess.run(
-            [sys.executable, "-c",
-             "import sys, quditdiscord.cli; "
-             "print('scipy.optimize' in sys.modules, 'scipy.linalg' in sys.modules)"],
-            capture_output=True, text=True, env=env, timeout=60, check=True,
-        )
-        assert proc.stdout.strip() == "False False"
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, env=env, timeout=60, check=True)
+        return proc.stdout
+
+    def test_import_leaves_out_scipy_optimize(self):
+        """Importing the CLI loads neither scipy.optimize nor scipy.linalg."""
+        out = self._python("import sys, quditdiscord.cli; "
+                           "print('scipy.optimize' in sys.modules, 'scipy.linalg' in sys.modules)")
+        assert out.strip() == "False False"
 
     def test_numeric_run_leaves_out_scipy_optimize(self, tmp_path, basis3):
-        """The D1 search is the package's own loop, so a numeric run never loads scipy.optimize."""
+        """The numeric path is numpy alone, so a numeric run loads no scipy module at all."""
         path = tmp_path / "state.json"
         st.write_state(st.from_density(basis3, generic_rho(3, np.random.default_rng(301))), path)
-        src = str(Path(quditdiscord.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
         argv = ["discord", "--state", str(path), "--numeric", "--starts", "2", "--max-iter", "5"]
-        proc = subprocess.run(
-            [sys.executable, "-c",
-             "import sys; from quditdiscord import cli; "
-             f"code = cli.main({argv!r}); "
-             "print(code, 'scipy.optimize' in sys.modules, 'scipy.linalg' in sys.modules)"],
-            capture_output=True, text=True, env=env, timeout=60, check=True,
-        )
-        assert proc.stdout.strip().splitlines()[-1] == "4 False True"  # capped: not converged
+        out = self._python(
+            "import sys; from quditdiscord import cli; "
+            f"code = cli.main({argv!r}); "
+            "print(code, [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])")
+        assert out.strip().splitlines()[-1] == "4 []"  # capped: not converged
+
+    def test_numeric_run_without_scipy(self, tmp_path, basis3):
+        """With scipy unimportable, discord --numeric prints what it prints with scipy."""
+        path = tmp_path / "werner.json"
+        st.write_state(st.class_a_state(basis3, np.eye(3, dtype=complex), 0.3), path)
+        argv = ["discord", "--state", str(path), "--numeric"]
+        run_cli = f"from quditdiscord import cli; print(cli.main({argv!r}))"
+        blocked = self._python("import sys; sys.modules['scipy'] = None; " + run_cli)
+        assert blocked.splitlines()[-1] == "0"
+        assert blocked == self._python(run_cli)
 
     def test_out_of_memory_is_one_error_line(self, monkeypatch, capsys):
         """A MemoryError ends the command with exit 2 and one line, not a traceback."""

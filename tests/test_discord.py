@@ -10,7 +10,7 @@ from quditdiscord import lie_algebra as la
 from quditdiscord import measurement as ms
 from quditdiscord import states as st
 
-from conftest import classical_quantum_rho, generic_lmm_rho, generic_rho
+from conftest import classical_quantum_rho, generic_lmm_rho, generic_rho, objective
 
 
 class TestFrameValue:
@@ -462,6 +462,31 @@ class TestMinimizer:
         assert np.array_equal(a.frame.U, b.frame.U)
         assert np.array_equal(a.frame.M_real, b.frame.M_real)
 
+    @pytest.mark.parametrize("minimize", [dc.minimize_d1, dc.minimize_d2], ids=["d1", "d2"])
+    def test_frame_is_built_when_read(self, basis3, minimize, monkeypatch):
+        """No frame_from_unitary call until .frame is read, and then the frame of
+        the phase-normalized winning U, bit for bit."""
+        winners, built = [], []
+        normalize, build = dc.phase_normalize, dc.frame_from_unitary
+
+        def seen(U):
+            winners.append(U)
+            return normalize(U)
+
+        def counted(basis, U):
+            built.append(U)
+            return build(basis, U)
+
+        monkeypatch.setattr(dc, "phase_normalize", seen)
+        monkeypatch.setattr(dc, "frame_from_unitary", counted)
+        est = minimize(_generic_state(basis3, 97), dc.OptimizerConfig(starts=3, seed=4, max_iter=200))
+        assert (len(winners), built) == (1, [])
+        frame = est.frame
+        assert len(built) == 1
+        eager = ms.frame_from_unitary(basis3, la.phase_normalize(winners[0]))
+        assert np.array_equal(frame.U, eager.U)
+        assert np.array_equal(frame.M_real, eager.M_real)
+
     def test_value_matches_frame(self, basis3):
         """The reported value is the objective at the reported frame."""
         state = st.isotropic(basis3, 0.35)
@@ -510,7 +535,7 @@ class TestMinimizer:
         rng = np.random.default_rng([97, d])
         thetas = rng.standard_normal((10, basis.n))
         for state, exact in cases:
-            f = dc._objective(basis, state, "d1")
+            f = objective(basis, state, "d1")
             values = np.array([f(theta) for theta in thetas])
             assert np.max(values) - np.min(values) < 1e-10
             assert_allclose(values, exact, rtol=0, atol=1e-10)
@@ -555,7 +580,7 @@ class TestObjective:
         thetas = np.random.default_rng([99, d]).standard_normal((50, basis.n))
         eye = np.eye(d, dtype=complex)
         for state in (lmm, generic):
-            d1 = dc._objective(basis, state, "d1")
+            d1 = objective(basis, state, "d1")
             at = dc._chart(basis, state, "d2")[0]
             for theta in thetas:
                 frame = ms.frame_from_theta(basis, theta)
@@ -568,7 +593,7 @@ class TestObjective:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_theta_raises(self, basis3, bad):
-        f = dc._objective(basis3, st.isotropic(basis3, 0.3), "d1")
+        f = objective(basis3, st.isotropic(basis3, 0.3), "d1")
         theta = np.full(basis3.n, 0.1)
         theta[2] = bad
         with pytest.raises(np.linalg.LinAlgError), np.errstate(invalid="ignore"):
@@ -752,7 +777,7 @@ class TestEarlyStop:
             alone[measure] = minimize(state, dc.OptimizerConfig(starts=1))
             assert (alone[measure].nfev, alone[measure].starts_run,
                     alone[measure].converged) == (1, 1, False)
-            assert alone[measure].value == dc._objective(basis3, state, measure)(
+            assert alone[measure].value == objective(basis3, state, measure)(
                 np.zeros(basis3.n))
         more = dc.minimize_d1(state, dc.OptimizerConfig(starts=4))
         assert more.converged is True
@@ -874,4 +899,4 @@ class TestProperties:
         state = st.from_density(basis, generic_lmm_rho(d, np.random.default_rng(seed)))
         est = dc.minimize_d1(state, dc.OptimizerConfig(starts=2, max_iter=60, seed=seed % 100))
         assert dc.lower_bounds(basis, state.K)[1] <= est.value + 1e-12
-        assert est.value <= dc._objective(basis, state, "d1")(np.zeros(basis.n))
+        assert est.value <= objective(basis, state, "d1")(np.zeros(basis.n))

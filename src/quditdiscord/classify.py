@@ -23,17 +23,17 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .discord import jordan_classify, measurement_star_residual
-from .entanglement import partial_transpose, realignment_negativity
+from .discord import jordan_classify
 from .lie_algebra import (
     GellMannBasis,
     adjoint_rep,
     build_basis,
     expand_pair,
     phase_normalize,
-    random_special_unitary,
+    random_adjoint_reps,
+    structure_tensors,
 )
-from .measurement import random_frame, tau_map
+from .measurement import random_frame_projectors
 from .states import weyl_operator
 
 __all__ = [
@@ -188,25 +188,39 @@ def local_orbit(I: SignMatrix) -> tuple[SignMatrix, ...]:
     return tuple(sorted(members, key=str))
 
 
-def _orbit_record(basis: GellMannBasis, members: tuple[SignMatrix, ...],
-                  t_range: tuple[float, float]) -> OrbitRecord:
-    rep = members[0]
-    C = _correlation_operator(basis, rep.vector)
-    pt_slopes = np.linalg.eigvalsh(partial_transpose(C, basis.d))
-    ppt_lo, ppt_hi = _slope_interval(pt_slopes)
-    ppt_range = (max(ppt_lo, t_range[0]), min(ppt_hi, t_range[1]))
+def _sign_operators(basis: GellMannBasis, signs) -> np.ndarray:
+    """Stack of C_I = sum_k s_k g_k x g_k, one per row of ``signs``, as one matmul."""
+    d, g = basis.d, basis.generators
+    pairs = g[:, :, None, :, None] * g[:, None, :, None, :]
+    return (np.asarray(signs, dtype=complex) @ pairs.reshape(basis.n, d ** 4)).reshape(
+        -1, d * d, d * d)
+
+
+def _orbit_records(basis: GellMannBasis, orbits: list[tuple[SignMatrix, ...]],
+                   t_ranges: list[tuple[float, float]]) -> list[OrbitRecord]:
+    """PPT ranges and realignment maxima of every orbit, from batched LAPACK calls."""
+    d, m = basis.d, len(orbits)
+    C = _sign_operators(basis, [members[0].vector for members in orbits])
+    pt_slopes = np.linalg.eigvalsh(
+        C.reshape(m, d, d, d, d).transpose(0, 1, 4, 3, 2).reshape(m, d * d, d * d))
     # ||rho(t)^R||_1 is the norm of an affine function of t, so N_R is convex
     # in t and peaks at an end of the interval
-    eye = np.eye(basis.d ** 2)
-    worst = max(realignment_negativity((eye + t * C) / basis.d ** 2, basis.d)
-                for t in t_range)
-    return OrbitRecord(
-        representative=rep,
-        members=members,
-        ppt_range=ppt_range,
-        realignment_max=worst,
-        realignment_zero=worst < 1e-9,
-    )
+    ends = np.array(t_ranges)
+    rho = (np.eye(d * d) + ends[:, :, None, None] * C[:, None]) / d ** 2
+    realigned = rho.reshape(m, 2, d, d, d, d).transpose(0, 1, 2, 4, 3, 5)
+    norms = np.linalg.svd(realigned.reshape(m, 2, d * d, d * d), compute_uv=False).sum(-1)
+    worst = np.maximum(0.0, (norms.max(axis=1) - 1.0) / 2.0)
+    records = []
+    for members, t_range, slopes, w in zip(orbits, t_ranges, pt_slopes, worst):
+        ppt_lo, ppt_hi = _slope_interval(slopes)
+        records.append(OrbitRecord(
+            representative=members[0],
+            members=members,
+            ppt_range=(max(ppt_lo, t_range[0]), min(ppt_hi, t_range[1])),
+            realignment_max=float(w),
+            realignment_zero=bool(w < 1e-9),
+        ))
+    return records
 
 
 def group_isospectral(basis: GellMannBasis | None = None) -> list[SpectralClassRecord]:
@@ -215,13 +229,16 @@ def group_isospectral(basis: GellMannBasis | None = None) -> list[SpectralClassR
     Returns the 16 isospectral classes; pairing them under slope negation
     gives the 8 independent classes (see :func:`independent_classes`).
     Raises if two distinct classes come closer than the rounding scale.
+    All 256 spectra come from one batched eigensolve; each row equals
+    :func:`affine_spectrum` of its state to round-off.
     """
     basis = basis or build_basis(3)
+    states = enumerate_sign_states()
+    spectra = np.linalg.eigvalsh(_sign_operators(basis, [sm.vector for sm in states]))
     groups: dict[tuple[int, ...], list[SignMatrix]] = {}
     slope_map: dict[tuple[int, ...], np.ndarray] = {}
-    for state in enumerate_sign_states():
-        slopes = affine_spectrum(basis, state)
-        key = tuple(int(round(s * 1e9)) for s in slopes)
+    for state, slopes, rounded in zip(states, spectra, np.rint(spectra * 1e9).astype(np.int64)):
+        key = tuple(rounded.tolist())
         groups.setdefault(key, []).append(state)
         slope_map[key] = slopes
     keys = sorted(groups)
@@ -232,29 +249,32 @@ def group_isospectral(basis: GellMannBasis | None = None) -> list[SpectralClassR
                 raise RuntimeError(
                     f"isospectral grouping unstable: classes separated by {gap:.3e}"
                 )
-    records = []
-    for idx, key in enumerate(keys, start=1):
-        members = tuple(sorted(groups[key], key=str))
-        slopes = slope_map[key]
-        t_rng = _slope_interval(slopes)
+    members_of = [tuple(sorted(groups[key], key=str)) for key in keys]
+    t_ranges = [_slope_interval(slope_map[key]) for key in keys]
+    orbits_of = []
+    for members in members_of:
         seen: set[SignMatrix] = set()
         orbits = []
         for member in members:
-            if member in seen:
-                continue
-            orbit_members = local_orbit(member)
-            seen.update(orbit_members)
-            orbits.append(_orbit_record(basis, orbit_members, t_rng))
-        records.append(
-            SpectralClassRecord(
-                class_id=f"S{idx:02d}",
-                members=members,
-                orbits=tuple(orbits),
-                slopes=slopes,
-                t_range=t_rng,
-            )
+            if member not in seen:
+                orbits.append(local_orbit(member))
+                seen.update(orbits[-1])
+        orbits_of.append(orbits)
+    # one batched pass over all orbits, handed back class by class
+    orbit_records = iter(_orbit_records(
+        basis, [o for orbits in orbits_of for o in orbits],
+        [t_rng for t_rng, orbits in zip(t_ranges, orbits_of) for _ in orbits]))
+    return [
+        SpectralClassRecord(
+            class_id=f"S{idx:02d}",
+            members=members,
+            orbits=tuple(next(orbit_records) for _ in orbits),
+            slopes=slope_map[key],
+            t_range=t_rng,
         )
-    return records
+        for idx, (key, members, t_rng, orbits) in enumerate(
+            zip(keys, members_of, t_ranges, orbits_of), start=1)
+    ]
 
 
 def independent_classes(
@@ -391,10 +411,6 @@ _FIXTURES: dict[tuple[int, int], np.ndarray] = {
 }
 
 FIXTURE_LABELS = tuple(sorted(_FIXTURES))
-
-
-def fixture_matrix(label: tuple[int, int]) -> np.ndarray:
-    return _FIXTURES[label].copy()
 
 
 def fixture_adjoint(basis: GellMannBasis, label: tuple[int, int]) -> np.ndarray:
@@ -550,20 +566,40 @@ _SQUARE_SAMPLES, _SQUARE_SEED = 20, 1234
 _FRAME_SAMPLES, _FRAME_SEED = 100, 7
 
 
+def _square_sums(basis: GellMannBasis, signs) -> np.ndarray:
+    """sum_p tau_I(U g_p U^+)^2 over the diagonal p, for _SQUARE_SAMPLES seeded U per I.
+
+    Row i holds the samples of the sign vector signs[i], drawn from the seeds
+    [_SQUARE_SEED, i, k].  The coefficients of U g_p U^+ are column p of
+    R(U), so tau_I multiplies them by the signs and expands them.
+    """
+    d, n = basis.d, basis.n
+    seeds = [[_SQUARE_SEED, i, k] for i in range(len(signs)) for k in range(_SQUARE_SAMPLES)]
+    R = random_adjoint_reps(basis, seeds).reshape(len(signs), _SQUARE_SAMPLES, n, n)
+    diag = [i - 1 for i in basis.diagonal_indices]
+    coeffs = np.asarray(signs, dtype=float)[:, None, :, None] * R[..., diag]
+    m = (coeffs.swapaxes(-1, -2) @ basis.flat).reshape(*coeffs.shape[:2], len(diag), d, d)
+    return (m @ m).sum(axis=2)
+
+
 def _square_identity_defect(basis: GellMannBasis, good: list[SignMatrix]) -> float:
     """max defect of sum_p tau_I(U g_p U^+)^2 = (2(d-1)/d) I over the diagonal p."""
     target = (2.0 * (basis.d - 1) / basis.d) * np.eye(basis.d)
-    worst = 0.0
-    for i, sm in enumerate(good):
-        for k in range(_SQUARE_SAMPLES):
-            U = random_special_unitary(basis.d, [_SQUARE_SEED, i, k])
-            acc = np.zeros((basis.d, basis.d), dtype=complex)
-            for idx in basis.diagonal_indices:
-                g = basis.generators[idx - 1]
-                m = tau_map(basis, sm.matrix, U @ g @ U.conj().T)
-                acc += m @ m
-            worst = max(worst, float(np.max(np.abs(acc - target))))
-    return worst
+    return float(np.max(np.abs(_square_sums(basis, [sm.vector for sm in good]) - target)))
+
+
+def _frame_star_residuals(basis: GellMannBasis, signs) -> np.ndarray:
+    """measurement_star_residual for every (frame, sign vector) pair, as one matmul.
+
+    The _FRAME_SAMPLES frames are random_frame(basis, [_FRAME_SEED, k]); the
+    (frames x signs, n^2) stack of I M I is contracted against Delta at once.
+    """
+    n = basis.n
+    M = random_frame_projectors(basis, [[_FRAME_SEED, k] for k in range(_FRAME_SAMPLES)])
+    s = np.asarray(signs, dtype=float)
+    imi = (s[:, :, None] * s[:, None, :]).reshape(1, -1, n * n) * M.reshape(-1, 1, n * n)
+    traces = imi.reshape(-1, n * n) @ structure_tensors(basis).dhat.reshape(n, n * n).T
+    return basis.dprime * np.max(np.abs(traces), axis=-1).reshape(len(M), len(s))
 
 
 def classification_report(basis: GellMannBasis | None = None) -> ClassificationReport:
@@ -573,13 +609,6 @@ def classification_report(basis: GellMannBasis | None = None) -> ClassificationR
     labeled = independent_classes(records)
     autos, antis = jordan_good_matrices(basis)
     good = autos + antis
-    worst_residual = 0.0
-    for k in range(_FRAME_SAMPLES):
-        frame = random_frame(basis, [_FRAME_SEED, k])
-        for sm in good:
-            worst_residual = max(
-                worst_residual, measurement_star_residual(basis, sm.vector, frame)
-            )
     return ClassificationReport(
         d=basis.d,
         all_classes=tuple(records),
@@ -587,7 +616,8 @@ def classification_report(basis: GellMannBasis | None = None) -> ClassificationR
         automorphisms=tuple(autos),
         anti_automorphisms=tuple(antis),
         square_identity_max_defect=_square_identity_defect(basis, good),
-        good_residual_max=worst_residual,
+        good_residual_max=float(np.max(
+            _frame_star_residuals(basis, [sm.vector for sm in good]))),
         notes=tuple(_reference_notes(labeled)),
     )
 

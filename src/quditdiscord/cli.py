@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Subcommands: basis, discord, scan, appendix-c, verify.  Exit codes: 0 ok,
-2 invalid input, 3 unphysical state, 4 optimizer non-convergence flag.  All
-randomness flows from --seed; identical invocations produce byte-identical
-output files.
+1 a self-check failed (a failing ``verify`` check, or ``appendix-c`` class
+counts that differ from the expected table), 2 invalid input, 3 unphysical
+state, 4 optimizer non-convergence flag.  All randomness flows from
+--seed; identical invocations produce byte-identical output files.
 """
 
 from __future__ import annotations
@@ -285,31 +286,17 @@ def _verify_checks(d: int, seed: int):
         np.max(np.abs(lie.star_sum_criterion(
             tensors, np.eye(n), np.eye(n)).residual)), 1e-12))
 
-    worst_cov = 0.0
-    worst_transport = 0.0
-    rng = np.random.default_rng([seed, d])
-    for k in range(10):
-        U = lie.random_special_unitary(d, [seed, d, k])
-        R = lie.adjoint_rep(basis, U)
-        a, b = rng.standard_normal(n), rng.standard_normal(n)
-        worst_cov = max(
-            worst_cov,
-            float(np.max(np.abs(R @ lie.star(tensors, a, b)
-                                - lie.star(tensors, R @ a, R @ b)))),
-            float(np.max(np.abs(R @ lie.wedge(tensors, a, b)
-                                - lie.wedge(tensors, R @ a, R @ b)))),
-        )
-        # R^T Delta_j R = sum_k R_jk Delta_k, and likewise for F_j
-        lhs_d = np.stack([R.T @ tensors.dhat[j] @ R for j in range(n)])
-        rhs_d = np.einsum("jk,kab->jab", R, tensors.dhat)
-        lhs_f = np.stack([R.T @ tensors.fhat[j] @ R for j in range(n)])
-        rhs_f = np.einsum("jk,kab->jab", R, tensors.fhat)
-        worst_transport = max(
-            worst_transport,
-            float(np.max(np.abs(lhs_d - rhs_d))),
-            float(np.max(np.abs(lhs_f - rhs_f))),
-        )
+    Rs, ab = _covariance_samples(basis, seed)
+    worst_cov = max(
+        float(np.max(np.abs(np.subtract(*_rotated_products(basis, T, Rs, ab)))))
+        for T in (tensors.dhat, tensors.fhat)
+    )
     yield ("star-wedge-covariance", *_residual_check(worst_cov, 1e-10))
+    # R^T Delta_j R = sum_k R_jk Delta_k, and likewise for F_j
+    worst_transport = max(
+        float(np.max(np.abs(R.T @ T @ R - (R @ T.reshape(n, n * n)).reshape(n, n, n))))
+        for R in Rs for T in (tensors.dhat, tensors.fhat)
+    )
     yield ("tensor-transport", *_residual_check(worst_transport, 1e-10))
 
     # path equivalence on random correlation matrices
@@ -329,10 +316,10 @@ def _verify_checks(d: int, seed: int):
             meas.q_matrix(S0) - meas.q_orthogonal(basis, t, V0, frame)))))
     yield ("path-equivalence", *_residual_check(worst_path, 1e-10))
 
-    # frame invariance of the closed-form classes
-    t_a = 0.2
-    spread = _frame_spread(basis, t_a, seed)
-    yield ("frame-invariance", *_residual_check(spread, 1e-10))
+    # frame invariance of the closed-form classes: D1 of K = t I over ten frames
+    S = _frame_disturbances(basis, 0.2, seed)
+    values = d / (2.0 * (d - 1)) * np.abs(np.linalg.eigvalsh(S)).sum(axis=-1)
+    yield ("frame-invariance", *_residual_check(values.max() - values.min(), 1e-10))
 
     # closed-form spectra against dense eigensolves
     spec = discord_mod.closed_form_spectra(d, 0.37)
@@ -357,27 +344,59 @@ def _residual_check(residual: float, tol: float) -> tuple[bool, float]:
     return float(residual) < tol, float(residual)
 
 
-def _frame_spread(basis, t, seed) -> float:
+def _outer_pairs(pairs):
+    """Row k is vec(a_k b_k^T) for a (m, 2, n) stack of pairs (a_k, b_k)."""
+    return (pairs[:, 0, :, None] * pairs[:, 1, None, :]).reshape(len(pairs), -1)
+
+
+def _rotated_products(basis, T, Rs, ab):
+    """Rows R_k (a_k o b_k) and (R_k a_k) o (R_k b_k), as two (m, n) stacks.
+
+    (a o b)_j = d' sum_kl T_jkl a_k b_l is the star product for T = Delta and
+    the wedge product for T = F.
+    """
     n = basis.n
-    values = []
-    pref = basis.d / (2.0 * (basis.d - 1))
-    for k in range(10):
-        frame = meas.random_frame(basis, [seed, basis.d, 31, k])
-        S = meas.disturbance_from_vectors(basis, np.zeros(n), t * np.eye(n), frame)
-        values.append(pref * meas.trace_norm_hermitian(S))
-    return float(max(values) - min(values))
+    T2 = basis.dprime * T.reshape(n, n * n).T
+    RsT = Rs.transpose(0, 2, 1)
+    rotated_after = ((_outer_pairs(ab) @ T2)[:, None, :] @ RsT)[:, 0]
+    return rotated_after, _outer_pairs(ab @ RsT) @ T2
+
+
+def _covariance_samples(basis, seed):
+    """The ten seeded R(U_k) and (a_k, b_k) pairs of the covariance and transport checks.
+
+    U_k is random_special_unitary(d, [seed, d, k]); one (10, 2, n) draw from
+    default_rng([seed, d]) is the same stream as drawing a_k, then b_k, ten times.
+    """
+    Rs = lie.random_adjoint_reps(basis, [[seed, basis.d, k] for k in range(10)])
+    return Rs, np.random.default_rng([seed, basis.d]).standard_normal((10, 2, basis.n))
+
+
+def _frame_disturbances(basis, t, seed) -> np.ndarray:
+    """Stack of disturbance_from_vectors(basis, 0, t I, frame_k) over ten seeded frames.
+
+    Frame k is random_frame(basis, [seed, d, 31, k]); its disturbance is
+    S = (t/d^2) sum_jk M_jk g_j x g_k, assembled as in :func:`lie_algebra.expand_pair`
+    (G^T M G with its middle indices swapped) for the whole stack of M at once.
+    """
+    d = basis.d
+    M = meas.random_frame_projectors(basis, [[seed, d, 31, k] for k in range(10)])
+    S = (basis.flat.T @ M @ basis.flat).reshape(-1, d, d, d, d).transpose(0, 1, 3, 2, 4)
+    return (t / (d * d)) * S.reshape(-1, d * d, d * d)
 
 
 def _dense_fixed_operators(basis):
-    d = basis.d
-    g = basis.generators
-    L = np.zeros((d * d, d * d), dtype=complex)
-    for i in basis.diagonal_indices:
-        L += np.kron(g[i - 1], g[i - 1])
-    K = np.zeros_like(L)
-    for j in range(basis.n):
-        K += np.kron(g[j], g[j].T)
-    return L, (d - 2) * K + L
+    """L = sum over the diagonal g_i of g_i x g_i, and (d-2) sum_j g_j x g_j^T + L.
+
+    g_j^T = +-g_j with the sign of :func:`states.transposition_signs`, so both
+    are expand_pair of a diagonal K.
+    """
+    zero = np.zeros(basis.n)
+    P0 = meas.canonical_projector_diagonal(basis)
+    flips = np.diag(states_mod.transposition_signs(basis))
+    L = lie.expand_pair(basis, 0.0, zero, zero, P0)
+    KL = lie.expand_pair(basis, 0.0, zero, zero, (basis.d - 2) * flips + P0)
+    return L, KL
 
 
 def _spectrum_defect(matrix, spec) -> float:

@@ -41,6 +41,7 @@ __all__ = [
     "phase_normalize",
     "star_sum_criterion",
     "random_special_unitary",
+    "random_adjoint_reps",
     "random_orthogonal",
     "expi",
 ]
@@ -379,6 +380,21 @@ def random_special_unitary(d: int, seed) -> np.ndarray:
     rng = np.random.default_rng(seed)
     theta = rng.standard_normal(basis.n)
     return expi(expand(basis, 0.0, theta))
+
+
+def random_adjoint_reps(basis: GellMannBasis, seeds) -> np.ndarray:
+    """Stack of R(U) for U = random_special_unitary(basis.d, s), one per seed.
+
+    Each seed draws its own theta, as in :func:`random_special_unitary`; the
+    exponentials come from one batched eigh.  vec(U g U^+) = (U x conj(U))
+    vec(g), so R(U) = Re(G.conj() (U x conj(U)) G^T)/2 for the whole stack.
+    """
+    d = basis.d
+    thetas = np.array([np.random.default_rng(s).standard_normal(basis.n) for s in seeds])
+    w, v = np.linalg.eigh((thetas @ basis.flat).reshape(-1, d, d))
+    U = (v * np.exp(1j * w)[:, None, :]) @ v.conj().swapaxes(-1, -2)
+    UxU = (U[:, :, None, :, None] * U.conj()[:, None, :, None, :]).reshape(-1, d * d, d * d)
+    return 0.5 * (basis.flat.conj() @ UxU @ basis.flat.T).real
 
 
 def random_orthogonal(size: int, seed) -> np.ndarray:

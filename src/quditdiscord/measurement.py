@@ -22,6 +22,7 @@ from .lie_algebra import (
     expand,
     expand_pair,
     expi,
+    random_adjoint_reps,
     structure_tensors,
 )
 from .states import density_matrix
@@ -44,6 +45,7 @@ __all__ = [
     "trace_norm_hermitian",
     "tau_map",
     "random_frame",
+    "random_frame_projectors",
 ]
 
 
@@ -104,6 +106,15 @@ def random_frame(basis: GellMannBasis, seed) -> MeasurementFrame:
     return frame_from_theta(basis, rng.standard_normal(basis.n))
 
 
+def random_frame_projectors(basis: GellMannBasis, seeds) -> np.ndarray:
+    """Stack of random_frame(basis, s).M_real, one per seed, without building the frames.
+
+    M = I - V P0 V^T keeps only the diagonal-generator columns of V = R(U).
+    """
+    V = random_adjoint_reps(basis, seeds)[..., [i - 1 for i in basis.diagonal_indices]]
+    return np.eye(basis.n) - V @ V.swapaxes(-1, -2)
+
+
 def apply_measurement(state, frame: MeasurementFrame) -> np.ndarray:
     """(Phi x id)(rho) = sum_k (P_k x I) rho (P_k x I)."""
     d = frame.d
@@ -161,6 +172,17 @@ def trace_norm_hermitian(S: np.ndarray) -> float:
     return float(np.sum(np.abs(np.linalg.eigvalsh(S))))
 
 
+def _sandwich(A: np.ndarray, T: np.ndarray) -> np.ndarray:
+    """(l, p) -> sum_ab (T_l)_ab (A T_p A^T)_ab = tr(A^T T_l^T A T_p) for a stack T.
+
+    That is tr(A^T Delta_l A Delta_p) for the symmetric Delta and
+    -tr(A^T F_l A F_p) for the antisymmetric F, so the paper's wedge traces
+    are minus the F sandwich.
+    """
+    n = T.shape[0]
+    return T.reshape(n, n * n) @ (A @ T @ A.T).reshape(n, n * n).T
+
+
 def q_expansion(basis: GellMannBasis, K: np.ndarray, frame: MeasurementFrame) -> np.ndarray:
     """Five-term star/wedge expansion of Q for a locally maximally mixed state.
 
@@ -179,15 +201,11 @@ def q_expansion(basis: GellMannBasis, K: np.ndarray, frame: MeasurementFrame) ->
     t = structure_tensors(basis)
     MK = frame.M_real @ K
     gram = MK.T @ MK
-    left = np.einsum("aj,lab,bj->l", MK, t.dhat, MK, optimize=True)
-    right = np.einsum("ab,pab->p", gram, t.dhat, optimize=True)
-    # the wedge part carries the opposite sign once the antisymmetric F is
-    # contracted elementwise: sum_jk X_jk (F_p)_jk = -tr(X F_p)
-    sym = np.einsum("aj,lab,bk,pjk->lp", MK, t.dhat, MK, t.dhat, optimize=True)
-    asym = np.einsum("aj,lab,bk,pjk->lp", MK, t.fhat, MK, t.fhat, optimize=True)
+    delta = t.dhat.reshape(n, n * n)
     Q = expand_pair(
-        basis, (4.0 / (d * d)) * np.trace(gram), (2.0 / d) * left, (2.0 / d) * right,
-        sym - asym,
+        basis, (4.0 / (d * d)) * np.trace(gram),
+        (2.0 / d) * (delta @ (MK @ MK.T).ravel()), (2.0 / d) * (delta @ gram.ravel()),
+        _sandwich(MK, t.dhat) - _sandwich(MK, t.fhat),
     )
     return Q / (d ** 4)
 
@@ -212,10 +230,8 @@ def q_orthogonal(
     ten = structure_tensors(basis)
     M = frame.M_real
     MV = M @ V0
-    X = np.einsum("ab,kab->k", V0.T @ M @ V0, ten.dhat, optimize=True)
-    # elementwise contraction with the antisymmetric F flips the trace sign
-    Y = np.einsum("am,lab,bn,pmn->lp", MV, ten.dhat, MV, ten.dhat, optimize=True)
-    Y -= np.einsum("am,lab,bn,pmn->lp", MV, ten.fhat, MV, ten.fhat, optimize=True)
+    X = ten.dhat.reshape(n, n * n) @ (V0.T @ M @ V0).ravel()
+    Y = _sandwich(MV, ten.dhat) - _sandwich(MV, ten.fhat)
     out = expand_pair(basis, 4.0 * (d - 1) / d, np.zeros(n), (2.0 / d) * X, Y)
     return (t * t / d ** 4) * out
 

@@ -242,6 +242,61 @@ class TestJordanGood:
             assert found, f"no witnessing frame for {sm}"
 
 
+def _test_signs(basis):
+    """All-plus, transposition and a seeded mixed sign vector of length n."""
+    mixed = np.where(np.random.default_rng([71, basis.d]).random(basis.n) < 0.5, -1.0, 1.0)
+    return np.array([np.ones(basis.n), st.transposition_signs(basis), mixed])
+
+
+class TestStackedOracles:
+    """The stacked appendix-c computations against the per-item functions.
+
+    Sign vectors that are not Jordan-good give frame-dependent residuals and
+    squares, so agreement also shows that the same seeded samples are drawn.
+    """
+
+    def test_slopes_match_affine_spectrum(self, basis3):
+        states = cl.enumerate_sign_states()
+        stacked = np.linalg.eigvalsh(cl._sign_operators(basis3, [sm.vector for sm in states]))
+        for slopes, sm in zip(stacked, states):
+            assert np.max(np.abs(slopes - cl.affine_spectrum(basis3, sm))) < 1e-13
+
+    def test_class_slopes_are_member_spectra(self, records, basis3):
+        for rec in records:
+            for sm in rec.members:
+                assert_allclose(rec.slopes, cl.affine_spectrum(basis3, sm), atol=1e-9)
+
+    @pytest.mark.parametrize("d", [3, 4, 5, 6])
+    def test_frame_residuals_match_per_frame_loop(self, d):
+        basis = la.build_basis(d)
+        signs = _test_signs(basis)
+        stacked = cl._frame_star_residuals(basis, signs)
+        assert stacked.shape == (cl._FRAME_SAMPLES, len(signs))
+        for k in range(cl._FRAME_SAMPLES):
+            frame = ms.random_frame(basis, [cl._FRAME_SEED, k])
+            for i, s in enumerate(signs):
+                oracle = dc.measurement_star_residual(basis, s, frame)
+                assert abs(stacked[k, i] - oracle) < 1e-13
+        assert np.max(stacked[:, 2]) > 1e-3  # the mixed vector is not Jordan-good
+
+    @pytest.mark.parametrize("d", [3, 4, 5, 6])
+    def test_square_sums_match_per_sample_tau_map(self, d):
+        basis = la.build_basis(d)
+        signs = _test_signs(basis)
+        stacked = cl._square_sums(basis, signs)
+        assert stacked.shape == (len(signs), cl._SQUARE_SAMPLES, d, d)
+        diagonal = [basis.generators[i - 1] for i in basis.diagonal_indices]
+        for i, s in enumerate(signs):
+            for k in range(cl._SQUARE_SAMPLES):
+                U = la.random_special_unitary(d, [cl._SQUARE_SEED, i, k])
+                oracle = sum(
+                    m @ m for m in (ms.tau_map(basis, np.diag(s), U @ g @ U.conj().T)
+                                    for g in diagonal))
+                assert np.max(np.abs(stacked[i, k] - oracle)) < 1e-13
+        target = (2.0 * (d - 1) / d) * np.eye(d)
+        assert np.max(np.abs(stacked[2] - target)) > 1e-3
+
+
 class TestFixtures:
     def test_six_clean_matches_and_duplication(self, basis3):
         report = cl.verify_adjoint_fixtures(basis3)
@@ -256,7 +311,7 @@ class TestFixtures:
     def test_phase_weyl_adjoint_matches_reference_slot(self, basis3):
         """R of diag(1, w, w^2) appears in the reference table at slot (2, 0)."""
         R = la.adjoint_rep(basis3, st.weyl_operator(3, (0, 1)))
-        assert np.max(np.abs(R - cl.fixture_matrix((2, 0)))) < 1e-12
+        assert np.max(np.abs(R - cl._FIXTURES[(2, 0)])) < 1e-12
 
 
 @pytest.fixture(scope="module")

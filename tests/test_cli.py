@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import quditdiscord
+from quditdiscord import classify as cl
 from quditdiscord import cli
 from quditdiscord import lie_algebra as la
 from quditdiscord import measurement as ms
@@ -272,7 +273,8 @@ class TestNoPathPlanning:
     def test_analytic_commands_plan_no_einsum_path(self, tmp_path, monkeypatch, capsys):
         """Commands without --numeric contract with matmuls, never optimize=True einsums.
 
-        ``verify`` is left out: it runs the q_expansion and q_orthogonal oracles.
+        ``verify`` is included: its q_expansion and q_orthogonal oracles contract
+        with matmuls too.  The guard itself is shown to fire on apply_measurement.
         """
         einsum, calls = np.einsum, []
 
@@ -286,6 +288,7 @@ class TestNoPathPlanning:
              "--t-steps", "3"],
             ["appendix-c", "--json", "--check-fixtures"],
             ["basis", "--d", "8"],
+            ["verify", "--d", "6"],
         ]
         for d in range(3, 9):
             basis = la.build_basis(d)
@@ -302,7 +305,7 @@ class TestNoPathPlanning:
         assert calls  # the partial traces still go through the guarded einsum
         basis = la.build_basis(3)
         with pytest.raises(AssertionError, match="path planning"):
-            ms.q_expansion(basis, np.eye(8), ms.canonical_frame(basis))
+            ms.apply_measurement(np.eye(9) / 9, ms.canonical_frame(basis))
 
 
 class TestScanCommand:
@@ -397,6 +400,13 @@ class TestAppendixCommand:
             "duplication detected: True; computed replacements differ: True"
         )
 
+    def test_class_count_mismatch_exits_1(self, monkeypatch, capsys):
+        """A failed self-check, here the class sizes against their table, exits 1."""
+        wrong = dict(cl.EXPECTED_CLASS_SIZES, E7=5)
+        monkeypatch.setattr(cl, "EXPECTED_CLASS_SIZES", wrong)
+        assert run(["appendix-c", "--json"]) == 1
+        assert json.loads(capsys.readouterr().out)["class_counts_match"] is False
+
 
 class TestVerifyCommand:
     def test_passes(self, capsys):
@@ -412,3 +422,48 @@ class TestVerifyCommand:
     def test_extended_dimension(self, capsys):
         assert run(["verify", "--d", "5"]) == 0
         assert "d=5" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("d", [3, 4, 5, 6])
+    def test_dense_fixed_operators_match_kron_sums(self, d):
+        basis = la.build_basis(d)
+        g = basis.generators
+        L_ref = sum(np.kron(g[i - 1], g[i - 1]) for i in basis.diagonal_indices)
+        K_ref = sum(np.kron(g[j], g[j].T) for j in range(basis.n))
+        L, KL = cli._dense_fixed_operators(basis)
+        assert np.max(np.abs(L - L_ref)) < 1e-13
+        assert np.max(np.abs(KL - ((d - 2) * K_ref + L_ref))) < 1e-13
+
+    @pytest.mark.parametrize("d", [3, 4, 5, 6])
+    def test_covariance_samples_match_per_sample_draws(self, d):
+        """The ten rotations and (a, b) pairs are those the per-sample loop drew."""
+        basis = la.build_basis(d)
+        Rs, ab = cli._covariance_samples(basis, 5)
+        rng = np.random.default_rng([5, d])
+        for k in range(10):
+            R = la.adjoint_rep(basis, la.random_special_unitary(d, [5, d, k]))
+            assert np.max(np.abs(Rs[k] - R)) < 1e-13
+            assert np.array_equal(ab[k, 0], rng.standard_normal(basis.n))
+            assert np.array_equal(ab[k, 1], rng.standard_normal(basis.n))
+
+    @pytest.mark.parametrize("d", [3, 4, 5, 6])
+    def test_rotated_products_match_star_and_wedge(self, d):
+        basis = la.build_basis(d)
+        tensors = la.structure_tensors(basis)
+        Rs, ab = cli._covariance_samples(basis, 5)
+        for T, product in ((tensors.dhat, la.star), (tensors.fhat, la.wedge)):
+            after, before = cli._rotated_products(basis, T, Rs, ab)
+            for k, (R, (a, b)) in enumerate(zip(Rs, ab)):
+                assert np.max(np.abs(after[k] - R @ product(tensors, a, b))) < 1e-13
+                assert np.max(np.abs(before[k] - product(tensors, R @ a, R @ b))) < 1e-13
+
+    @pytest.mark.parametrize("d", [3, 4, 5, 6])
+    def test_frame_disturbances_match_per_frame_oracle(self, d):
+        basis = la.build_basis(d)
+        stacked = cli._frame_disturbances(basis, 0.2, 5)
+        assert stacked.shape == (10, d * d, d * d)
+        zero, K = np.zeros(basis.n), 0.2 * np.eye(basis.n)
+        for k, S in enumerate(stacked):
+            frame = ms.random_frame(basis, [5, d, 31, k])
+            oracle = ms.disturbance_from_vectors(basis, zero, K, frame)
+            assert np.max(np.abs(S - oracle)) < 1e-13
+        assert np.max(np.abs(stacked[0] - stacked[1])) > 1e-3  # the frames differ

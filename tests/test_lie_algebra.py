@@ -388,3 +388,14 @@ class TestRandomUnitary:
         for k in range(1000):
             U = la.random_special_unitary(3, k)
             assert np.max(np.abs(U.conj().T @ U - np.eye(3))) < 1e-10
+
+    @pytest.mark.parametrize("d", [3, 4, 5, 6])
+    def test_stacked_adjoint_reps_match_per_seed(self, d):
+        """Row k of the stack is R(U) of the unitary that seed k draws on its own."""
+        basis = la.build_basis(d)
+        seeds = [[0, d, k] for k in range(10)] + [1234, [7, 3]]
+        stacked = la.random_adjoint_reps(basis, seeds)
+        assert stacked.shape == (len(seeds), basis.n, basis.n)
+        for R, seed in zip(stacked, seeds):
+            oracle = la.adjoint_rep(basis, la.random_special_unitary(d, seed))
+            assert np.max(np.abs(R - oracle)) < 1e-13

@@ -256,6 +256,69 @@ class TestQPaths:
             ms.q_orthogonal(basis3, 0.1, np.ones((8, 8)), frame)
 
 
+def _q_expansion_einsum(basis, K, frame):
+    """q_expansion as the einsum contractions it was first written with."""
+    d = basis.d
+    t = la.structure_tensors(basis)
+    MK = frame.M_real @ K
+    gram = MK.T @ MK
+    left = np.einsum("aj,lab,bj->l", MK, t.dhat, MK, optimize=True)
+    right = np.einsum("ab,pab->p", gram, t.dhat, optimize=True)
+    sym = np.einsum("aj,lab,bk,pjk->lp", MK, t.dhat, MK, t.dhat, optimize=True)
+    asym = np.einsum("aj,lab,bk,pjk->lp", MK, t.fhat, MK, t.fhat, optimize=True)
+    Q = la.expand_pair(
+        basis, (4.0 / (d * d)) * np.trace(gram), (2.0 / d) * left, (2.0 / d) * right,
+        sym - asym,
+    )
+    return Q / (d ** 4)
+
+
+def _q_orthogonal_einsum(basis, t, V0, frame):
+    """q_orthogonal as the einsum contractions it was first written with."""
+    d, n = basis.d, basis.n
+    ten = la.structure_tensors(basis)
+    M = frame.M_real
+    MV = M @ V0
+    X = np.einsum("ab,kab->k", V0.T @ M @ V0, ten.dhat, optimize=True)
+    Y = np.einsum("am,lab,bn,pmn->lp", MV, ten.dhat, MV, ten.dhat, optimize=True)
+    Y -= np.einsum("am,lab,bn,pmn->lp", MV, ten.fhat, MV, ten.fhat, optimize=True)
+    out = la.expand_pair(basis, 4.0 * (d - 1) / d, np.zeros(n), (2.0 / d) * X, Y)
+    return (t * t / d ** 4) * out
+
+
+class TestMatmulContractions:
+    """The matmul forms of the oracles and the stacked frames against their references."""
+
+    @pytest.mark.parametrize("d", [3, 4, 5, 6])
+    def test_q_expansion_matches_einsum_form(self, d):
+        basis = la.build_basis(d)
+        rng = np.random.default_rng([61, d])
+        for k in range(3):
+            K = rng.standard_normal((basis.n, basis.n))
+            frame = ms.random_frame(basis, [62, d, k])
+            Q = ms.q_expansion(basis, K, frame)
+            assert np.max(np.abs(Q - _q_expansion_einsum(basis, K, frame))) < 1e-13
+            assert np.max(np.abs(Q)) > 1e-3
+
+    @pytest.mark.parametrize("d", [3, 4, 5, 6])
+    def test_q_orthogonal_matches_einsum_form(self, d):
+        basis = la.build_basis(d)
+        for k in range(3):
+            V0 = la.random_orthogonal(basis.n, [63, d, k])
+            frame = ms.random_frame(basis, [64, d, k])
+            Q = ms.q_orthogonal(basis, 0.7, V0, frame)
+            assert np.max(np.abs(Q - _q_orthogonal_einsum(basis, 0.7, V0, frame))) < 1e-13
+            assert np.max(np.abs(Q)) > 1e-3
+
+    @pytest.mark.parametrize("d", [3, 4, 5, 6])
+    def test_frame_projectors_match_random_frames(self, d):
+        basis = la.build_basis(d)
+        seeds = [[0, d, 31, k] for k in range(10)] + [[7, k] for k in range(3)]
+        stacked = ms.random_frame_projectors(basis, seeds)
+        for M, seed in zip(stacked, seeds):
+            assert np.max(np.abs(M - ms.random_frame(basis, seed).M_real)) < 1e-13
+
+
 class TestJordanClassForms:
     @pytest.mark.parametrize("d", [3, 4])
     def test_automorphism_form_matches_direct(self, d):

@@ -57,10 +57,8 @@ JORDAN_ORTH_ATOL = 1e-9
 JORDAN_COVARIANCE_TOL = 1e-10
 # classify_correlation: K/sqrt(n) norms below this are zero, gram defects above it general.
 CLASSIFY_ATOL = 1e-8
-# classify_correlation's orthogonality bound for K/scale, looser than JORDAN_ORTH_ATOL.
-CLASSIFY_ORTH_ATOL = 1e-6
-# classify_correlation's covariance bound for K/scale, looser than JORDAN_COVARIANCE_TOL.
-CLASSIFY_COVARIANCE_TOL = 1e-8
+# classify_correlation: largest max|C C / d - C| of K/scale's Choi matrix C that is rank one.
+CLASSIFY_CHOI_TOL = 1e-8
 # smallest_eigenvalue_sum default: a smallest eigenvalue below -PSD_ATOL is not PSD.
 PSD_ATOL = 1e-9
 
@@ -242,16 +240,16 @@ def _rotate_tensor(T: np.ndarray, V: np.ndarray) -> np.ndarray:
     return T
 
 
-def _covariance_defects(
-    basis: GellMannBasis, V: np.ndarray, atol: float
-) -> tuple[float, float, float, float, float]:
-    """(orth, star, star_neg, plus, minus): the defects of V and, reordered, of -V.
+def jordan_classify(
+    basis: GellMannBasis, V: np.ndarray, *,
+    atol: float = JORDAN_ORTH_ATOL, tol: float = JORDAN_COVARIANCE_TOL,
+) -> JordanClass:
+    """Classify an orthogonal V by its star/wedge covariance.
 
-    With d_V and f_V the V-transformed dhat and fhat: orth = max|V^T V - I|,
-    star = max|d_V - dhat|, star_neg = max|d_V + dhat| and plus/minus =
-    max|f_V -+ fhat|.  Both transforms are cubic in V, so those of -V are the
-    exact negatives of these and -V has defects (orth, star_neg, star,
-    minus, plus), bit for bit.
+    automorphism: V(a*b) = Va*Vb and V(a^b) = Va^Vb on all pairs;
+    anti_automorphism: star covariant, wedge anti-covariant; else neither.
+    With d_V and f_V the V-transformed dhat and fhat, the defects are
+    max|V^T V - I|, max|d_V - dhat| and max|f_V -+ fhat|.
     """
     n = basis.n
     V = np.asarray(V, dtype=float)
@@ -267,32 +265,9 @@ def _covariance_defects(
         d_t, f_t = t.dhat * scale, t.fhat * scale
     else:
         d_t, f_t = _rotate_tensor(t.dhat, V), _rotate_tensor(t.fhat, V)
-    return (
-        orth,
-        float(np.max(np.abs(d_t - t.dhat))),
-        float(np.max(np.abs(d_t + t.dhat))),
-        float(np.max(np.abs(f_t - t.fhat))),
-        float(np.max(np.abs(f_t + t.fhat))),
-    )
-
-
-def jordan_classify(
-    basis: GellMannBasis, V: np.ndarray, *,
-    atol: float = JORDAN_ORTH_ATOL, tol: float = JORDAN_COVARIANCE_TOL,
-) -> JordanClass:
-    """Classify an orthogonal V by its star/wedge covariance.
-
-    automorphism: V(a*b) = Va*Vb and V(a^b) = Va^Vb on all pairs;
-    anti_automorphism: star covariant, wedge anti-covariant; else neither.
-    """
-    orth, star_defect, _, plus, minus = _covariance_defects(basis, V, atol)
-    return _jordan_class(orth, star_defect, plus, minus, tol)
-
-
-def _jordan_class(
-    orth: float, star_defect: float, plus: float, minus: float, tol: float
-) -> JordanClass:
-    """The class :func:`jordan_classify` reads off the covariance defects."""
+    star_defect = float(np.max(np.abs(d_t - t.dhat)))
+    plus = float(np.max(np.abs(f_t - t.fhat)))
+    minus = float(np.max(np.abs(f_t + t.fhat)))
     if star_defect < tol and plus < tol:
         return JordanClass("automorphism", orth, star_defect, plus, +1)
     if star_defect < tol and minus < tol:
@@ -317,6 +292,11 @@ def measurement_star_residual(
     return float(basis.dprime * np.max(np.abs(traces)))
 
 
+def _rank_one(C: np.ndarray, d: int) -> bool:
+    """Whether the Hermitian Choi matrix C of trace d is d times a rank-one projector."""
+    return float(np.max(np.abs(C @ C / d - C))) < CLASSIFY_CHOI_TOL
+
+
 def classify_correlation(
     basis: GellMannBasis, K: np.ndarray, *, atol: float = CLASSIFY_ATOL
 ) -> tuple[str, float]:
@@ -325,23 +305,38 @@ def classify_correlation(
     Returns (kind, t) with kind one of 'zero', 'automorphism',
     'anti_automorphism', 'orthogonal' (t V0 without Jordan structure) or
     'general'.  The Jordan kinds fix the sign of t; the bare orthogonal kind
-    reports t = ||K||_F / sqrt(d^2-1) > 0.  The star/wedge transform of
-    K/scale is computed once; the defects of -K/scale are read off it.
+    reports t = ||K||_F / sqrt(d^2-1) > 0.
+
+    V = K/scale is the unital, trace-preserving map g_k -> sum_j V_jk g_j on
+    M_d, with superoperator (1/d)|I><I| + G^T V conj(G)/2 (G = basis.flat).
+    Its realigned Choi matrix C = I/d + P is Hermitian with trace d, and V
+    is R(U), X -> U X U^+, exactly when C has rank one, C C = d C (Choi;
+    Skolem-Noether for the Jordan automorphisms of M_d).  V is an
+    anti-automorphism, X -> U X^T U^+, exactly when V diag(s) is R(U) for
+    the transposition signs s; that map's Choi matrix is the partial
+    transpose of C.  C is linear in V, so -V has C = I/d - P.  The order
+    +t auto, +t anti, -t auto, -t anti decides ties, and the tests stop at
+    the first rank-one C.
     """
     K = np.asarray(K, dtype=float)
-    n = basis.n
+    d, n = basis.d, basis.n
     scale = float(np.linalg.norm(K)) / math.sqrt(n)
     if scale < atol:
         return "zero", 0.0
     gram_defect = np.max(np.abs(K @ K.T / scale ** 2 - np.eye(n)))
     if gram_defect > atol:
         return "general", 0.0
-    orth, star, star_neg, plus, minus = _covariance_defects(
-        basis, K / scale, CLASSIFY_ORTH_ATOL)
-    for t, defects in ((scale, (star, plus, minus)), (-scale, (star_neg, minus, plus))):
-        jc = _jordan_class(orth, *defects, CLASSIFY_COVARIANCE_TOL)
-        if jc.kind != "neither":
-            return jc.kind, t
+    G = basis.flat
+    phi = 0.5 * (G.T @ ((K / scale) @ G.conj()))
+    P = phi.reshape(d, d, d, d).transpose(0, 2, 1, 3)
+    eye = np.eye(d * d) / d
+    auto = P.reshape(d * d, d * d)
+    anti = P.transpose(0, 3, 2, 1).reshape(d * d, d * d)
+    for t, sign in ((scale, 1.0), (-scale, -1.0)):
+        if _rank_one(eye + sign * auto, d):
+            return "automorphism", t
+        if _rank_one(eye + sign * anti, d):
+            return "anti_automorphism", t
     return "orthogonal", scale
 
 

@@ -1,8 +1,8 @@
 """su(d) generator algebra for qudits.
 
 Generalized Gell-Mann generators, the symmetric/antisymmetric structure
-tensors, the star and wedge products they induce on R^(d^2-1), the Jordan
-product in coefficient form, and the adjoint representation of SU(d).
+tensors, the star and wedge products they induce on R^(d^2-1), and the
+adjoint representation of SU(d).
 
 Everything here is dense numpy.  All returned arrays are frozen
 (non-writeable) so basis/tensor objects can be shared freely across threads.
@@ -36,7 +36,6 @@ __all__ = [
     "expand_pair",
     "decompose",
     "decompose_complex",
-    "jordan_product",
     "adjoint_rep",
     "phase_normalize",
     "star_sum_criterion",
@@ -282,26 +281,6 @@ def decompose_complex(basis: GellMannBasis, A: np.ndarray) -> tuple[complex, np.
     a0 = np.trace(A) / basis.d
     a = 0.5 * (basis.flat.conj() @ A.reshape(basis.d * basis.d))
     return a0, a
-
-
-def jordan_product(
-    basis: GellMannBasis,
-    a: tuple[float, np.ndarray],
-    b: tuple[float, np.ndarray],
-) -> tuple[float, np.ndarray]:
-    """Jordan product (AB + BA)/2 in coefficient form.
-
-    For A = a0*I + <a, g>, B = b0*I + <b, g>:
-    c0 = a0 b0 + (2/d) <a, b> and c = a0 b + b0 a + (a * b)/d'.
-    """
-    a0, av = a
-    b0, bv = b
-    t = structure_tensors(basis)
-    av = _check_vector(t, av)
-    bv = _check_vector(t, bv)
-    c0 = a0 * b0 + (2.0 / basis.d) * float(av @ bv)
-    c = a0 * bv + b0 * av + star(t, av, bv) / basis.dprime
-    return c0, c
 
 
 def adjoint_rep(

@@ -21,7 +21,6 @@ from .lie_algebra import (
     adjoint_rep,
     build_basis,
     expand_pair,
-    phase_normalize,
 )
 
 __all__ = [
@@ -234,11 +233,6 @@ def bell_projector(basis: GellMannBasis, label) -> TwoQuditState:
     psi = np.kron(W, np.eye(d)) @ maximally_entangled_ket(d)
     rho = np.outer(psi, psi.conj())
     return from_density(basis, rho, check=False)
-
-
-def bell_adjoint(basis: GellMannBasis, label) -> np.ndarray:
-    """R(W_label) with the phase normalized so the unitary is special."""
-    return adjoint_rep(basis, phase_normalize(weyl_operator(basis.d, label)))
 
 
 def bell_diagonal(

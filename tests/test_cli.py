@@ -85,6 +85,17 @@ class TestDiscordCommand:
         assert code == 0
         assert (doc["d1_numeric"], doc["d2_numeric"], doc["converged"]) == (0.0, 0.0, True)
 
+    def test_d12_class_a_document(self, tmp_path, capsys):
+        """The Choi test classifies d = 12, where dhat and fhat would take 2 x 23 MB."""
+        basis = la.build_basis(12)
+        state = st.class_a_state(basis, la.random_special_unitary(12, 95), -0.2)
+        path = self._write_state(tmp_path, state)
+        assert run(["discord", "--state", path]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["correlation_class"] == "automorphism"
+        assert abs(doc["t"] + 0.2) < 1e-12
+        assert abs(doc["d1_exact"] - 0.2) < 1e-12
+
     def test_invalid_document_exit_2(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{\"d\": 3}")

@@ -346,24 +346,92 @@ class TestClassifyCorrelation:
         kind, _ = dc.classify_correlation(basis3, rng.standard_normal((8, 8)))
         assert kind == "general"
 
-    @pytest.mark.parametrize("d", [3, 4, 5, 6])
+    @pytest.mark.parametrize("d", [3, 4, 5, 6, 7, 8])
     def test_one_transform_matches_two_pass_oracle(self, d):
-        """Reading -K/scale off the +K/scale tensors gives the two-pass kind and t."""
+        """One Choi matrix per state gives the two-pass star/wedge oracle's kind and t."""
         basis = la.build_basis(d)
         U1, U2 = (la.random_special_unitary(d, [89, d, k]) for k in (1, 2))
+        R = la.adjoint_rep(basis, U1)
+        RI0 = R * st.transposition_signs(basis)
         V0 = la.random_orthogonal(basis.n, [90, d])
         Ks = [
             st.class_a_state(basis, U1, -0.3).K,
             st.class_aa_state(basis, U1, U2, -0.05).K,
-            0.2 * V0,
-            -0.2 * V0,
+            0.2 * R, -0.2 * R, 0.2 * RI0, -0.2 * RI0,
+            0.2 * V0, -0.2 * V0,
+            np.random.default_rng([90, d]).standard_normal((basis.n, basis.n)),
         ]
         kinds = []
         for K in Ks:
             got = dc.classify_correlation(basis, K)
             assert got == _classify_oracle(basis, K)
             kinds.append(got[0])
-        assert kinds == ["automorphism", "anti_automorphism", "orthogonal", "orthogonal"]
+        assert kinds == ["automorphism", "anti_automorphism"] + [
+            "automorphism"] * 2 + ["anti_automorphism"] * 2 + ["orthogonal"] * 2 + ["general"]
+
+    def test_sign_matrices_match_jordan_classify(self, basis3):
+        """All 256 K = +-0.3 I: the oracle's kind and t, and the kind jordan_classify gives +-I.
+
+        I and -I are never both Jordan, as the star transform is cubic, so
+        each of the 4 automorphism and 4 anti-automorphism sign matrices
+        shows up 4 times: as +-0.3 I and as -+0.3 (-I).
+        """
+        from quditdiscord.classify import enumerate_sign_states
+
+        kinds = {"automorphism": 0, "anti_automorphism": 0, "orthogonal": 0}
+        for sm in enumerate_sign_states():
+            for t in (0.3, -0.3):
+                K = t * sm.matrix
+                got = dc.classify_correlation(basis3, K)
+                assert got == _classify_oracle(basis3, K)
+                plus, minus = (dc.jordan_classify(basis3, s * np.sign(t) * sm.matrix).kind
+                               for s in (1.0, -1.0))
+                if plus != "neither":
+                    assert (got[0], got[1] > 0) == (plus, True)
+                elif minus != "neither":
+                    assert (got[0], got[1] > 0) == (minus, False)
+                else:
+                    assert (got[0], got[1] > 0) == ("orthogonal", True)
+                kinds[got[0]] += 1
+        assert kinds == {"automorphism": 16, "anti_automorphism": 16, "orthogonal": 480}
+
+    @pytest.mark.parametrize("d", [3, 4, 5, 6, 7, 8])
+    def test_choi_tolerance_separates_round_off_from_perturbation(self, d):
+        """K = 0.2 R(U) exp(eps A) with A antisymmetric leaves the Jordan class at first order.
+
+        Its Choi defect max|C C / d - C| is about 2 eps (1.3-2.2 eps at
+        d = 3..8).  CLASSIFY_CHOI_TOL = 1e-8 lies between the two: eps = 1e-12
+        is round-off on an exact R(U) and keeps the automorphism class,
+        eps = 1e-6 is a real departure from it and reads as the bare
+        orthogonal class.  Both K pass the gram test, so t is exact either way.
+        """
+        basis = la.build_basis(d)
+        n = basis.n
+        R = la.adjoint_rep(basis, la.random_special_unitary(d, [92, d]))
+        A = np.random.default_rng([93, d]).standard_normal((n, n))
+        A = (A - A.T) / 2.0
+        got = {}
+        for eps in (1e-12, 1e-6):
+            K = 0.2 * R @ la.expi(-1j * eps * A).real
+            got[eps] = dc.classify_correlation(basis, K)[0]
+        assert got == {1e-12: "automorphism", 1e-6: "orthogonal"}
+
+    @pytest.mark.parametrize("d", [5, 6, 7, 8])
+    def test_evaluate_builds_no_structure_tensors(self, d):
+        """Class A, class AA and orthogonal states are classified without dhat or fhat."""
+        la._tensors_for_dimension.cache_clear()
+        basis = la.build_basis(d)
+        n = basis.n
+        U1, U2 = (la.random_special_unitary(d, [94, d, k]) for k in (1, 2))
+        V0 = la.random_orthogonal(n, [94, d])
+        states = [
+            st.class_a_state(basis, U1, -0.1),
+            st.class_aa_state(basis, U1, U2, 0.1),
+            st.assemble(basis, np.zeros(n), np.zeros(n), 0.05 * V0),
+        ]
+        kinds = [dc.evaluate(state).kind for state in states]
+        assert kinds == ["automorphism", "anti_automorphism", "orthogonal"]
+        assert la._tensors_for_dimension.cache_info().currsize == 0
 
 
 def _evaluate_case(basis, name):

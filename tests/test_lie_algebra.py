@@ -232,15 +232,27 @@ class TestExpandDecompose:
         assert_allclose(la.expand_pair(basis, a0, x, y, K), expected, atol=1e-12)
 
 
+def _jordan_product(basis, a, b):
+    """(AB + BA)/2 in coefficient form through the star product.
+
+    For A = a0 I + <a, g>, B = b0 I + <b, g>:
+    c0 = a0 b0 + (2/d) <a, b> and c = a0 b + b0 a + (a * b)/d'.
+    """
+    (a0, av), (b0, bv) = a, b
+    c0 = a0 * b0 + (2.0 / basis.d) * float(av @ bv)
+    c = a0 * bv + b0 * av + la.star(la.structure_tensors(basis), av, bv) / basis.dprime
+    return c0, c
+
+
 class TestJordanProduct:
     def test_identity_element(self, basis3):
-        c0, c = la.jordan_product(basis3, (1.0, np.zeros(8)), (1.0, np.zeros(8)))
+        c0, c = _jordan_product(basis3, (1.0, np.zeros(8)), (1.0, np.zeros(8)))
         assert_allclose(c0, 1.0, atol=1e-15)
         assert_allclose(c, np.zeros(8), atol=1e-15)
 
     def test_e1_only_vectors(self, basis3):
         e = np.eye(8)
-        c0, c = la.jordan_product(basis3, (0.0, e[0]), (0.0, e[0]))
+        c0, c = _jordan_product(basis3, (0.0, e[0]), (0.0, e[0]))
         assert_allclose(c0, 2.0 / 3.0, atol=1e-12)
         assert_allclose(c, e[7] / SQ3, atol=1e-12)
 
@@ -252,7 +264,7 @@ class TestJordanProduct:
         for _ in range(100):
             A = random_hermitian(d, rng)
             B = random_hermitian(d, rng)
-            c0, c = la.jordan_product(
+            c0, c = _jordan_product(
                 basis, la.decompose(basis, A), la.decompose(basis, B)
             )
             e0, e = la.decompose(basis, 0.5 * (A @ B + B @ A))
